@@ -40,12 +40,14 @@ class CorruptContainer(ReproError, ValueError):
 
     ``offset`` is the byte position within the stream being decoded at
     which the inconsistency was detected; ``section`` names the container
-    section when the decoder knows it.
+    section when the decoder knows it; ``reason`` is the message without
+    either.
     """
 
     def __init__(self, message: str, *,
                  offset: Optional[int] = None,
                  section: Optional[str] = None) -> None:
+        self.reason = message
         self.offset = offset
         self.section = section
         detail = message

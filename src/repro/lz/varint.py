@@ -8,6 +8,8 @@ important for the delta coder, whose deltas hover around zero.
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from .. import kernels as _kernels
 from ..errors import LimitExceeded, TruncatedStream
 from ..kernels import varints as _kernel_varints
@@ -15,6 +17,8 @@ from ..kernels import varints as _kernel_varints
 #: below this run length the vectorized varint kernel's setup costs more
 #: than the scalar loop
 _RUN_KERNEL_MIN = 8
+
+_T = TypeVar("_T")
 
 
 def encode_uvarint(value: int) -> bytes:
@@ -102,6 +106,13 @@ class ByteReader:
 
     def read_svarint(self) -> int:
         value, self._pos = decode_svarint(self._data, self._pos)
+        return value
+
+    def read_with(self, decode: Callable[..., "tuple[_T, int]"],
+                  *args: object) -> _T:
+        """Run ``decode(data, pos, *args) -> (value, next_pos)`` at the
+        cursor, advance past what it consumed, and return ``value``."""
+        value, self._pos = decode(self._data, self._pos, *args)
         return value
 
     def read_uvarint_run(self, count: int) -> "list[int]":

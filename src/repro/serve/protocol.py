@@ -25,13 +25,14 @@ The full specification lives in docs/PROTOCOL.md.
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ProtocolError
+from ..errors import CorruptContainer, ProtocolError
 from ..isa import Function, Instruction
-from ..isa.encoding import decode_instruction, encode_instruction
-from ..lz.varint import ByteReader, ByteWriter, decode_uvarint
+from ..isa.encoding import decode_instructions, encode_instructions
+from ..lz.varint import ByteReader, ByteWriter, decode_uvarint, encode_uvarint
 
 #: protocol version this implementation speaks.  Version 2 added the
 #: codec id to OK_META (the server names which registered codec decodes
@@ -428,19 +429,31 @@ def encode_instruction_slice(insns: List[Instruction], start: int) -> bytes:
     within the function; the receiver passes the same ``start`` back to
     :func:`decode_instruction_slice`.
     """
-    writer = ByteWriter()
-    writer.write_uvarint(len(insns))
-    for offset, insn in enumerate(insns):
-        encode_instruction(insn, start + offset, writer)
-    return writer.getvalue()
+    return encode_uvarint(len(insns)) + encode_instructions(insns, start)
+
+
+@contextmanager
+def _malformed(what: str) -> Iterator[None]:
+    """Re-raise a decode error from ``what``'s bytes as :class:`ProtocolError`."""
+    try:
+        yield
+    except CorruptContainer as exc:
+        raise ProtocolError(f"malformed {what}: {exc.reason}",
+                            offset=exc.offset) from exc
 
 
 def decode_instruction_slice(data: bytes, start: int) -> List[Instruction]:
-    reader = ByteReader(data)
-    count = reader.read_uvarint()
-    insns = [decode_instruction(reader, start + offset)
-             for offset in range(count)]
-    _expect_end(reader, "instruction slice")
+    """Inverse of :func:`encode_instruction_slice`.
+
+    Every malformed slice raises :class:`ProtocolError` carrying the byte
+    offset within ``data``.
+    """
+    with _malformed("instruction slice"):
+        count, pos = decode_uvarint(data, 0)
+        insns, pos = decode_instructions(data, pos, count, start)
+    if pos != len(data):
+        raise ProtocolError(f"{len(data) - pos} trailing bytes in "
+                            f"instruction slice body", offset=pos)
     return insns
 
 
@@ -459,12 +472,14 @@ def build_ok_function(findex: int, name: str,
 
 def parse_ok_function(body: bytes) -> Function:
     reader = ByteReader(body)
-    reader.read_uvarint()  # findex (informational; the client asked for it)
+    with _malformed("OK_FUNCTION body"):
+        reader.read_uvarint()  # findex (informational; the client asked)
+        raw_name = reader.read_bytes(reader.read_uvarint())
+        blob = reader.read_bytes(reader.read_uvarint())
     try:
-        name = reader.read_bytes(reader.read_uvarint()).decode("utf-8")
+        name = raw_name.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"OK_FUNCTION name is not UTF-8: {exc}") from exc
-    blob = reader.read_bytes(reader.read_uvarint())
     _expect_end(reader, "OK_FUNCTION")
     return Function(name=name, insns=decode_instruction_slice(blob, 0))
 
@@ -484,10 +499,11 @@ def build_ok_block(findex: int, start: int, total: int,
 def parse_ok_block(body: bytes) -> Tuple[int, int, int, List[Instruction]]:
     """Returns ``(findex, start, total_instructions, instructions)``."""
     reader = ByteReader(body)
-    findex = reader.read_uvarint()
-    start = reader.read_uvarint()
-    total = reader.read_uvarint()
-    blob = reader.read_bytes(reader.read_uvarint())
+    with _malformed("OK_BLOCK body"):
+        findex = reader.read_uvarint()
+        start = reader.read_uvarint()
+        total = reader.read_uvarint()
+        blob = reader.read_bytes(reader.read_uvarint())
     _expect_end(reader, "OK_BLOCK")
     return findex, start, total, decode_instruction_slice(blob, start)
 
