@@ -333,12 +333,6 @@ def main(argv=None) -> int:
     else:
         verdict = "pass" if all(verdicts) else "regression"
 
-    # Back-compat alias: earlier consumers read the compress-only ratio
-    # under this name.
-    if "compress_throughput_vs_baseline" in result:
-        result["throughput_vs_baseline"] = \
-            result["compress_throughput_vs_baseline"]
-
     result["verdict"] = verdict
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {RESULT_PATH.name}")

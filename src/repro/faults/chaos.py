@@ -259,7 +259,7 @@ def chaos_sweep(seed: int = 0, clients: int = 8, duration: float = 3.0,
             # answer that hides every replica being dead.
             router=RouterConfig(probe_interval=0.1, probe_timeout=0.5,
                                 attempt_timeout=1.0, breaker_cooldown=0.25,
-                                sync_interval=0.1, seed=seed),
+                                seed=seed),
             # a small cache keeps decode work (and the hang hook) hot
             server=ServerConfig(cache_bytes=1 << 15,
                                 request_timeout=5.0))).start()

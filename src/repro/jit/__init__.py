@@ -80,16 +80,3 @@ __all__ = [
     "sweep_buffer_sizes",
 ]
 
-
-def __getattr__(name: str):
-    if name == "BufferError_":
-        # Deprecated pre-taxonomy alias; kept importable so historical
-        # ``from repro.jit import BufferError_`` keeps working, but loudly.
-        import warnings
-
-        warnings.warn(
-            "repro.jit.BufferError_ is deprecated; catch "
-            "repro.errors.BufferCapacityError instead",
-            DeprecationWarning, stacklevel=2)
-        return BufferCapacityError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -57,7 +57,7 @@ class ClusterConfig:
     router: Optional[RouterConfig] = None
     server: Optional[ServerConfig] = None
     #: front-end routers; > 1 removes the router as a single point of
-    #: failure (they gossip health + weights and any one serves alone)
+    #: failure (each probes the shards itself and any one serves alone)
     routers: int = 1
 
     def __post_init__(self) -> None:
@@ -105,27 +105,17 @@ class LocalCluster:
             handle = self._start_shard(shard_id)
             self.handles[shard_id] = handle
             addresses[shard_id] = handle.address
-        router_config = self.config.router or RouterConfig()
-        router_config.replication = self.config.replication
+        router_config = replace(self.config.router or RouterConfig(),
+                                replication=self.config.replication)
         self.routers = [router_in_thread(addresses, config=router_config)]
         for _ in range(1, self.config.routers):
             self.routers.append(router_in_thread(
                 addresses, config=replace(router_config, port=0)))
-        peer_addresses = [handle.address for handle in self.routers]
-        for handle in self.routers:
-            handle.set_peers(peer_addresses)
         return self
 
     def _start_shard(self, shard_id: str) -> ServerHandle:
-        server_config = ServerConfig(host=self.config.host, port=0)
-        if self.config.server is not None:
-            template = self.config.server
-            server_config.max_concurrency = template.max_concurrency
-            server_config.max_queue_depth = template.max_queue_depth
-            server_config.request_timeout = template.request_timeout
-            server_config.max_frame = template.max_frame
-            server_config.cache_bytes = template.cache_bytes
-            server_config.drain_timeout = template.drain_timeout
+        server_config = replace(self.config.server or ServerConfig(),
+                                host=self.config.host, port=0)
         return serve_in_thread(store=self.stores[shard_id],
                                config=server_config)
 

@@ -389,15 +389,6 @@ class RouterMetrics:
             "cluster_request_seconds",
             "End-to-end routed request latency, by wire type.",
             buckets=DEFAULT_TIME_BUCKETS)
-        self._rebalances = self.registry.counter(
-            "cluster_rebalances_total",
-            "Vnode-weight rebalance rounds the router applied.")
-        self._vnode_weight = self.registry.gauge(
-            "cluster_vnode_weight",
-            "Current consistent-hash vnode weight per shard (1.0=uniform).")
-        self._syncs = self.registry.counter(
-            "cluster_syncs_total",
-            "SYNC_STATE gossip exchanges, by direction (sent/received).")
         self._cache_hits = self.registry.counter(
             "router_cache_hits_total",
             "Routed GETs answered from the router response cache.")
@@ -451,17 +442,6 @@ class RouterMetrics:
 
     def record_probe_failure(self, shard_id: str) -> None:
         self._probe_failures.inc(shard=shard_id)
-
-    def record_rebalance(self, weights: Dict[str, float]) -> None:
-        self._rebalances.inc()
-        self.record_vnode_weights(weights)
-
-    def record_vnode_weights(self, weights: Dict[str, float]) -> None:
-        for shard_id, weight in weights.items():
-            self._vnode_weight.set(weight, shard=shard_id)
-
-    def record_sync(self, direction: str) -> None:
-        self._syncs.inc(direction=direction)
 
     def record_cache_hit(self) -> None:
         self._cache_hits.inc()
@@ -536,10 +516,6 @@ class RouterMetrics:
             "unavailable": self.unavailable,
             "probe_failures": dict(sorted(probe_failures.items())),
             "latency": latency,
-            "rebalances": int(self._rebalances.value()),
-            "vnode_weights": {
-                dict(labels).get("shard", ""): value
-                for labels, value in self._vnode_weight.collect().items()},
             "cache": {
                 "hits": int(self._cache_hits.value()),
                 "misses": int(self._cache_misses.value()),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 from ..errors import CorruptContainer, ProtocolError
 from ..isa import Function, Instruction
@@ -59,7 +59,6 @@ GET_METRICS = 0x06
 HEALTH = 0x07
 GET_CONTAINER = 0x08
 GET_DELTA = 0x09
-SYNC_STATE = 0x0A
 
 OK_PUT = 0x81
 OK_META = 0x82
@@ -70,7 +69,6 @@ OK_METRICS = 0x86
 OK_HEALTH = 0x87
 OK_CONTAINER = 0x88
 OK_DELTA = 0x89
-OK_SYNC = 0x8A
 ERROR = 0xFF
 
 TYPE_NAMES = {
@@ -83,7 +81,6 @@ TYPE_NAMES = {
     HEALTH: "HEALTH",
     GET_CONTAINER: "GET_CONTAINER",
     GET_DELTA: "GET_DELTA",
-    SYNC_STATE: "SYNC_STATE",
     OK_PUT: "OK_PUT",
     OK_META: "OK_META",
     OK_FUNCTION: "OK_FUNCTION",
@@ -93,12 +90,11 @@ TYPE_NAMES = {
     OK_HEALTH: "OK_HEALTH",
     OK_CONTAINER: "OK_CONTAINER",
     OK_DELTA: "OK_DELTA",
-    OK_SYNC: "OK_SYNC",
     ERROR: "ERROR",
 }
 
 REQUEST_TYPES = (PUT_CONTAINER, GET_META, GET_FUNCTION, GET_BLOCK, STATS,
-                 GET_METRICS, HEALTH, GET_CONTAINER, GET_DELTA, SYNC_STATE)
+                 GET_METRICS, HEALTH, GET_CONTAINER, GET_DELTA)
 
 # -- error codes ------------------------------------------------------------
 
@@ -612,89 +608,6 @@ def parse_ok_health(body: bytes) -> HealthStatus:
     return HealthStatus(state=state, inflight=inflight, containers=containers)
 
 
-# -- router gossip ----------------------------------------------------------
-
-#: shard states as they travel in SYNC_STATE/OK_SYNC bodies.  These match
-#: the router's health state machine (and the ``cluster_shard_state``
-#: metric encoding) so a gossip peer can adopt them directly.
-SYNC_SHARD_STATES = {
-    "up": 0,
-    "suspect": 1,
-    "draining": 2,
-    "down": 3,
-}
-
-SYNC_SHARD_STATE_NAMES = {code: name for name, code in
-                          SYNC_SHARD_STATES.items()}
-
-#: vnode weights travel as parts-per-million so the body stays integral
-SYNC_WEIGHT_SCALE = 1_000_000
-
-
-def _build_sync_body(epoch: int,
-                     entries: Sequence[Tuple[str, str, float]]) -> bytes:
-    writer = ByteWriter()
-    writer.write_uvarint(epoch)
-    writer.write_uvarint(len(entries))
-    for shard_id, state_name, weight in entries:
-        if state_name not in SYNC_SHARD_STATES:
-            raise ProtocolError(f"unknown shard state {state_name!r}")
-        if not weight > 0:
-            raise ProtocolError(f"non-positive weight {weight} "
-                                f"for {shard_id}")
-        encoded = shard_id.encode("utf-8")
-        writer.write_uvarint(len(encoded))
-        writer.write_bytes(encoded)
-        writer.write_u8(SYNC_SHARD_STATES[state_name])
-        writer.write_uvarint(round(weight * SYNC_WEIGHT_SCALE))
-    return writer.getvalue()
-
-
-def _parse_sync_body(body: bytes,
-                     what: str) -> Tuple[int, List[Tuple[str, str, float]]]:
-    reader = ByteReader(body)
-    epoch = reader.read_uvarint()
-    count = reader.read_uvarint()
-    entries: List[Tuple[str, str, float]] = []
-    for _ in range(count):
-        try:
-            shard_id = reader.read_bytes(reader.read_uvarint()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"{what} shard id is not UTF-8: {exc}") from exc
-        code = reader.read_u8()
-        if code not in SYNC_SHARD_STATE_NAMES:
-            raise ProtocolError(f"unknown shard state code {code} in {what}")
-        weight_ppm = reader.read_uvarint()
-        if weight_ppm == 0:
-            raise ProtocolError(f"zero weight for {shard_id} in {what}")
-        entries.append((shard_id, SYNC_SHARD_STATE_NAMES[code],
-                        weight_ppm / SYNC_WEIGHT_SCALE))
-    _expect_end(reader, what)
-    return epoch, entries
-
-
-def build_sync_state(epoch: int,
-                     entries: Sequence[Tuple[str, str, float]]) -> bytes:
-    """SYNC_STATE carries the sender's weight epoch and, per shard,
-    ``(shard_id, state_name, vnode_weight)``."""
-    return _build_sync_body(epoch, entries)
-
-
-def parse_sync_state(body: bytes) -> Tuple[int, List[Tuple[str, str, float]]]:
-    return _parse_sync_body(body, "SYNC_STATE")
-
-
-def build_ok_sync(epoch: int,
-                  entries: Sequence[Tuple[str, str, float]]) -> bytes:
-    """OK_SYNC mirrors SYNC_STATE with the *receiver's* view, so one
-    exchange converges both peers."""
-    return _build_sync_body(epoch, entries)
-
-
-def parse_ok_sync(body: bytes) -> Tuple[int, List[Tuple[str, str, float]]]:
-    return _parse_sync_body(body, "OK_SYNC")
-
-
 def build_error(code: int, message: str) -> bytes:
     writer = ByteWriter()
     writer.write_u8(code)
@@ -757,16 +670,11 @@ __all__ = [
     "OK_METRICS",
     "OK_PUT",
     "OK_STATS",
-    "OK_SYNC",
     "PROTOCOL_VERSION",
     "PUT_CONTAINER",
     "REQUEST_TYPES",
     "RETRYABLE_ERROR_CODES",
     "STATS",
-    "SYNC_SHARD_STATES",
-    "SYNC_SHARD_STATE_NAMES",
-    "SYNC_STATE",
-    "SYNC_WEIGHT_SCALE",
     "TYPE_NAMES",
     "build_error",
     "build_get_block",
@@ -784,9 +692,7 @@ __all__ = [
     "build_ok_metrics",
     "build_ok_put",
     "build_ok_stats",
-    "build_ok_sync",
     "build_put",
-    "build_sync_state",
     "decode_instruction_slice",
     "encode_frame",
     "encode_instruction_slice",
@@ -805,9 +711,7 @@ __all__ = [
     "parse_ok_metrics",
     "parse_ok_put",
     "parse_ok_stats",
-    "parse_ok_sync",
     "parse_payload",
     "parse_put",
-    "parse_sync_state",
     "read_frame",
 ]

@@ -7,42 +7,24 @@ R *distinct* shards clockwise.  Two properties matter here:
 
 * **Minimal movement** — removing a shard re-routes only the keys that
   lived on it; everything else keeps its placement, so a failover
-  doesn't invalidate the whole fleet's cache.  The same holds for
-  weight changes: a shard's vnode points are a deterministic prefix of
-  ``shard#0, shard#1, ...``, so raising or lowering its weight only
-  adds or removes *that shard's* points — a key's owner changes only
-  when its old or new owner's weight changed.
+  doesn't invalidate the whole fleet's cache.
 * **Replica spread** — replicas are distinct shards by construction, so
   R-way replication survives R-1 shard losses for every key.
 
 Virtual nodes smooth the load split: with 64 vnodes per shard, the
 largest shard's share of a uniform keyspace stays within a few percent
 of ``1/N``.  Container ids are SHA-256 hex, so the keyspace *is*
-uniform — until the *traffic* isn't.  Real code-server traffic is
-Zipf-shaped (a few hot containers take most requests), so the ring also
-carries **per-shard weights**: a shard with weight ``w`` owns about
-``w / sum(weights)`` of the keyspace, and :meth:`rebalance` shifts
-bounded weight away from hot shards based on an observed load split.
+uniform.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-#: vnodes per unit of weight; 64 keeps worst-case imbalance low at test scale
+#: vnodes per shard; 64 keeps worst-case imbalance low at test scale
 DEFAULT_VNODES = 64
-
-#: weight clamp: a shard never owns less than 1/8 or more than 4x its
-#: uniform share, so rebalance can't starve a shard out of the ring or
-#: pile the whole keyspace onto one survivor
-MIN_WEIGHT = 0.125
-MAX_WEIGHT = 4.0
-
-#: per-round weight movement ceiling: one rebalance step changes any
-#: shard's weight by at most this fraction (bounded movement per round)
-DEFAULT_REBALANCE_STEP = 0.25
 
 
 def _point(key: str) -> int:
@@ -55,8 +37,7 @@ class HashRing:
     """Immutable-by-convention consistent-hash ring over shard ids."""
 
     def __init__(self, shard_ids: Sequence[str],
-                 vnodes: int = DEFAULT_VNODES,
-                 weights: Optional[Mapping[str, float]] = None) -> None:
+                 vnodes: int = DEFAULT_VNODES) -> None:
         if not shard_ids:
             raise ValueError("a hash ring needs at least one shard")
         if len(set(shard_ids)) != len(shard_ids):
@@ -65,19 +46,9 @@ class HashRing:
             raise ValueError(f"vnodes must be positive, got {vnodes}")
         self.shard_ids: Tuple[str, ...] = tuple(shard_ids)
         self.vnodes = vnodes
-        self.weights: Dict[str, float] = {
-            shard_id: 1.0 for shard_id in self.shard_ids}
-        if weights:
-            for shard_id, weight in weights.items():
-                if shard_id not in self.weights:
-                    raise ValueError(f"weight for unknown shard {shard_id!r}")
-                if not weight > 0:
-                    raise ValueError(
-                        f"weight for {shard_id} must be positive, got {weight}")
-                self.weights[shard_id] = float(weight)
         points: List[Tuple[int, str]] = []
         for shard_id in self.shard_ids:
-            for vnode in range(self.vnode_count(shard_id)):
+            for vnode in range(vnodes):
                 points.append((_point(f"{shard_id}#{vnode}"), shard_id))
         points.sort()
         self._points = [p for p, _ in points]
@@ -85,10 +56,6 @@ class HashRing:
 
     def __len__(self) -> int:
         return len(self.shard_ids)
-
-    def vnode_count(self, shard_id: str) -> int:
-        """Ring points this shard owns (its weight in vnode currency)."""
-        return max(1, round(self.vnodes * self.weights[shard_id]))
 
     def primary_for(self, key: str) -> str:
         """The shard owning ``key`` (first replica)."""
@@ -119,44 +86,7 @@ class HashRing:
     def without(self, shard_id: str) -> "HashRing":
         """A new ring with ``shard_id`` removed (failover topology)."""
         remaining = [s for s in self.shard_ids if s != shard_id]
-        weights = {s: w for s, w in self.weights.items() if s != shard_id}
-        return HashRing(remaining, vnodes=self.vnodes, weights=weights)
-
-    def with_weights(self, weights: Mapping[str, float]) -> "HashRing":
-        """A new ring over the same shards with ``weights`` applied."""
-        merged = dict(self.weights)
-        merged.update(weights)
-        return HashRing(self.shard_ids, vnodes=self.vnodes, weights=merged)
-
-    def rebalance(self, load: Mapping[str, float],
-                  max_step: float = DEFAULT_REBALANCE_STEP) -> "HashRing":
-        """A new ring with weight shifted away from hot shards.
-
-        ``load`` is any non-negative per-shard load observation (request
-        counts, EWMA rates); only its *ratios* matter.  Each shard's
-        weight moves toward ``weight * mean_load / shard_load`` — the
-        multiplier that would equalize the split if traffic were
-        proportional to keyspace share — but by at most ``max_step``
-        per round and never outside ``[MIN_WEIGHT, MAX_WEIGHT]``.
-        Bounding the per-round step bounds key movement: one round
-        re-routes roughly ``max_step / num_shards`` of the keyspace at
-        worst, so a mis-measured spike can't thrash the fleet's caches.
-        """
-        if not 0 < max_step < 1:
-            raise ValueError(f"max_step must be in (0, 1), got {max_step}")
-        observed = {shard_id: max(0.0, float(load.get(shard_id, 0.0)))
-                    for shard_id in self.shard_ids}
-        mean = sum(observed.values()) / len(self.shard_ids)
-        if mean <= 0:
-            return self
-        weights: Dict[str, float] = {}
-        for shard_id in self.shard_ids:
-            share = observed[shard_id]
-            ratio = (mean / share) if share > 0 else (1.0 + max_step)
-            ratio = min(1.0 + max_step, max(1.0 - max_step, ratio))
-            weight = self.weights[shard_id] * ratio
-            weights[shard_id] = min(MAX_WEIGHT, max(MIN_WEIGHT, weight))
-        return HashRing(self.shard_ids, vnodes=self.vnodes, weights=weights)
+        return HashRing(remaining, vnodes=self.vnodes)
 
     def load_split(self, samples: int = 4096) -> Dict[str, float]:
         """Fraction of a uniform keyspace each shard owns (diagnostics)."""
@@ -165,14 +95,5 @@ class HashRing:
             counts[self.primary_for(f"sample:{index}")] += 1
         return {shard: count / samples for shard, count in counts.items()}
 
-    def movement_from(self, other: "HashRing", samples: int = 4096) -> float:
-        """Fraction of a sampled keyspace whose primary differs from
-        ``other``'s — the cache-invalidation cost of a topology change."""
-        moved = sum(1 for index in range(samples)
-                    if self.primary_for(f"sample:{index}")
-                    != other.primary_for(f"sample:{index}"))
-        return moved / samples
 
-
-__all__ = ["DEFAULT_REBALANCE_STEP", "DEFAULT_VNODES", "HashRing",
-           "MAX_WEIGHT", "MIN_WEIGHT"]
+__all__ = ["DEFAULT_VNODES", "HashRing"]

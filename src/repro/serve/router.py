@@ -22,19 +22,17 @@ work out across N shard servers on its back side:
 * **Load control** — a per-shard :class:`~repro.serve.health.CircuitBreaker`
   stops the router hammering a dead address with fresh TCP connects;
   one half-open trial per cooldown rediscovers recovered shards.
-* **Skew control** — a per-shard EWMA of served requests detects
-  sustained imbalance (Zipf traffic piling onto one shard) and shifts
-  bounded vnode weight away from the hot shard each rebalance round;
-  an optional byte-budgeted response cache answers repeat GETs for hot
-  content-addressed slices without touching any shard at all.
-* **Scale-out** — multiple routers front the same shards and gossip
-  health + vnode weights to each other over ``SYNC_STATE``/``OK_SYNC``
-  (epoch-versioned: the newest rebalance wins), so clients can fail
-  over between routers without the fleet disagreeing about placement.
+* **Response cache** — an optional byte-budgeted cache answers repeat
+  GETs for hot content-addressed slices without touching any shard.
+* **Scale-out** — multiple routers may front the same shards.  They
+  share nothing: the ring is a pure function of the shard ids, so every
+  router places every key the same way, and each one probes the shards
+  itself.  Clients fail over between routers by address.
 
 ``PUT_CONTAINER`` is replicated to *all* R placement shards (the store
 is content-addressed, so replays are idempotent); one success is enough
-to acknowledge.  Reads try replicas in ring order.  When every replica
+to acknowledge.  Reads try the key's replicas in ring order; the ring
+never changes, so no other shard can hold the key.  When every replica
 of a key is dead the router answers ``E_UNAVAILABLE`` — a clean, typed
 refusal, never a hang — which is exactly the below-quorum contract the
 chaos harness asserts.
@@ -55,7 +53,7 @@ from . import protocol
 from .cache import GhostListAdmission, SharedLRUCache
 from .health import CircuitBreaker, ShardHealth
 from .metrics import RouterMetrics
-from .ring import DEFAULT_REBALANCE_STEP, DEFAULT_VNODES, HashRing
+from .ring import DEFAULT_VNODES, HashRing
 from .server import read_frame_async
 from .store import container_id_of
 
@@ -67,20 +65,6 @@ DEFAULT_PROBE_TIMEOUT = 1.0
 DEFAULT_ATTEMPT_TIMEOUT = 10.0
 #: full failover rounds before the router gives up with E_UNAVAILABLE
 DEFAULT_ROUTE_ROUNDS = 3
-#: how often the EWMA load tracker looks for sustained imbalance (seconds)
-DEFAULT_REBALANCE_INTERVAL = 0.5
-#: max/mean shard-load ratio that counts as imbalance
-DEFAULT_REBALANCE_THRESHOLD = 1.5
-#: consecutive imbalanced ticks before a rebalance round fires — a
-#: single-tick spike (one big container fetched once) never moves keys
-DEFAULT_SUSTAIN_TICKS = 2
-#: EWMA smoothing for per-shard load (higher = reacts faster)
-DEFAULT_EWMA_ALPHA = 0.3
-#: per-tick request floor below which imbalance is ignored — a CLI put
-#: hitting two replicas is 100% "skewed" but is noise, not a hot shard
-DEFAULT_REBALANCE_MIN_REQUESTS = 32
-#: how often a router gossips SYNC_STATE to its peers (seconds)
-DEFAULT_SYNC_INTERVAL = 0.5
 
 #: routed responses worth caching: content-addressed, bounded, immutable.
 #: GET_CONTAINER is excluded (one entry could evict a whole working set);
@@ -114,13 +98,6 @@ class RouterConfig:
     #: screen eviction-forcing response-cache inserts through a
     #: ghost-list frequency filter instead of always admitting
     cache_admission: bool = False
-    rebalance_interval: float = DEFAULT_REBALANCE_INTERVAL  # 0 disables
-    rebalance_threshold: float = DEFAULT_REBALANCE_THRESHOLD
-    rebalance_step: float = DEFAULT_REBALANCE_STEP
-    sustain_ticks: int = DEFAULT_SUSTAIN_TICKS
-    ewma_alpha: float = DEFAULT_EWMA_ALPHA
-    rebalance_min_requests: int = DEFAULT_REBALANCE_MIN_REQUESTS
-    sync_interval: float = DEFAULT_SYNC_INTERVAL            # 0 disables
 
 
 @dataclass
@@ -169,8 +146,6 @@ class ClusterRouter:
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._probe_task: Optional[asyncio.Task] = None
-        self._rebalance_task: Optional[asyncio.Task] = None
-        self._sync_task: Optional[asyncio.Task] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._active_requests = 0
         self._rng = random.Random(self.config.seed)
@@ -182,17 +157,8 @@ class ClusterRouter:
             if self.config.cache_bytes > 0 else None)
         self._cache_evictions_seen = 0
         # per-shard cumulative served requests (cache hits excluded —
-        # they cost the shards nothing), feeding the EWMA load tracker
+        # they cost the shards nothing); STATS reports it as shard_load
         self._served: Dict[str, int] = {sid: 0 for sid in self._shards}
-        self._ewma: Dict[str, float] = {sid: 0.0 for sid in self._shards}
-        self._last_served: Dict[str, int] = dict(self._served)
-        self._hot_ticks = 0
-        #: version of the current weight assignment; gossip peers adopt
-        #: whichever epoch is strictly newer, so one router's rebalance
-        #: converges the fleet
-        self.weights_epoch = 0
-        self._peers: List[Tuple[str, int]] = []
-        self.metrics.record_vnode_weights(dict(self.ring.weights))
 
     # -- introspection -------------------------------------------------------
 
@@ -238,24 +204,18 @@ class ClusterRouter:
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        loop = asyncio.get_running_loop()
-        self._probe_task = loop.create_task(self._probe_loop())
-        if self.config.rebalance_interval > 0:
-            self._rebalance_task = loop.create_task(self._rebalance_loop())
-        if self.config.sync_interval > 0:
-            self._sync_task = loop.create_task(self._sync_loop())
+        self._probe_task = asyncio.get_running_loop().create_task(
+            self._probe_loop())
         return self._server
 
     async def stop(self) -> None:
-        for attr in ("_probe_task", "_rebalance_task", "_sync_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, attr, None)
+        task, self._probe_task = self._probe_task, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -383,150 +343,6 @@ class ClusterRouter:
                                                    shard.breaker.state)
         return allowed
 
-    # -- hot-shard rebalance -------------------------------------------------
-
-    async def _rebalance_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.rebalance_interval)
-            self._rebalance_tick()
-
-    def _rebalance_tick(self) -> None:
-        """One EWMA update; fires a rebalance on *sustained* imbalance.
-
-        Load is the per-tick delta of requests each shard actually
-        served (cache hits never reach a shard, so they don't count).
-        A tick with no traffic decays nothing and never triggers — an
-        idle cluster keeps its weights.
-        """
-        deltas: Dict[str, float] = {}
-        for shard_id, total in self._served.items():
-            deltas[shard_id] = float(total - self._last_served[shard_id])
-            self._last_served[shard_id] = total
-        if sum(deltas.values()) < max(1, self.config.rebalance_min_requests):
-            # Idle or noise-floor tick: a handful of requests always
-            # looks "skewed" (one put lands on exactly R shards) but
-            # says nothing about sustained load.
-            self._hot_ticks = 0
-            return
-        alpha = self.config.ewma_alpha
-        for shard_id, delta in deltas.items():
-            self._ewma[shard_id] = (alpha * delta
-                                    + (1.0 - alpha) * self._ewma[shard_id])
-        mean = sum(self._ewma.values()) / len(self._ewma)
-        if mean <= 0:
-            return
-        if max(self._ewma.values()) / mean >= self.config.rebalance_threshold:
-            self._hot_ticks += 1
-        else:
-            self._hot_ticks = 0
-            return
-        if self._hot_ticks < self.config.sustain_ticks:
-            return
-        self._hot_ticks = 0
-        rebalanced = self.ring.rebalance(self._ewma,
-                                         max_step=self.config.rebalance_step)
-        if rebalanced.weights == self.ring.weights:
-            return      # already pinned at the clamp
-        self.ring = rebalanced
-        self.weights_epoch += 1
-        self.metrics.record_rebalance(dict(rebalanced.weights))
-
-    # -- gossip: multi-router state sync -------------------------------------
-
-    def set_peers(self, peers: List[Tuple[str, int]]) -> None:
-        """Addresses of the other routers fronting the same shards.
-
-        Thread-safe entry point: from outside the router's loop, call
-        via ``loop.call_soon_threadsafe``.
-        """
-        own = (self.config.host, self.port)
-        self._peers = [tuple(address) for address in peers
-                       if tuple(address) != own]
-
-    def _sync_entries(self) -> List[Tuple[str, str, float]]:
-        return [(shard_id, shard.health.state,
-                 self.ring.weights[shard_id])
-                for shard_id, shard in sorted(self._shards.items())]
-
-    def apply_weights(self, weights: Dict[str, float], epoch: int) -> None:
-        """Adopt a peer's weight assignment if it is strictly newer."""
-        if epoch <= self.weights_epoch:
-            return
-        known = {sid: w for sid, w in weights.items() if sid in self._shards}
-        if not known:
-            return
-        self.ring = self.ring.with_weights(known)
-        self.weights_epoch = epoch
-        self.metrics.record_vnode_weights(dict(self.ring.weights))
-
-    def _apply_sync(self, epoch: int,
-                    entries: List[Tuple[str, str, float]]) -> None:
-        self.apply_weights(
-            {sid: weight for sid, _state, weight in entries}, epoch)
-        for shard_id, state, _weight in entries:
-            # Health merge is deliberately narrow: only a peer's
-            # *draining* view is adopted (drain is announced by the
-            # shard itself, so it is authoritative no matter who heard
-            # it).  up/down stay local — each router's own probes decide
-            # those, so one router's flaky link can't poison the fleet.
-            if state == "draining" and shard_id in self._shards:
-                shard = self._shards[shard_id]
-                if shard.health.state == "up":
-                    self._note_draining(shard)
-
-    async def _sync_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.sync_interval)
-            for address in list(self._peers):
-                await self._sync_peer(address)
-
-    async def _sync_peer(self, address: Tuple[str, int]) -> None:
-        message = protocol.Message(
-            type=protocol.SYNC_STATE, request_id=0,
-            body=protocol.build_sync_state(self.weights_epoch,
-                                           self._sync_entries()))
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(*address),
-                timeout=self.config.probe_timeout)
-        except (OSError, asyncio.TimeoutError):
-            return      # peer down; the chaos harness kills routers freely
-        try:
-            writer.write(protocol.encode_frame(message))
-            await writer.drain()
-            response = await asyncio.wait_for(
-                read_frame_async(reader, self.config.max_frame),
-                timeout=self.config.probe_timeout)
-        except (OSError, ProtocolError, ReproError, asyncio.TimeoutError):
-            return
-        finally:
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if response is None or response.type != protocol.OK_SYNC:
-            return
-        try:
-            epoch, entries = protocol.parse_ok_sync(response.body)
-        except ProtocolError:
-            return
-        self.metrics.record_sync("sent")
-        self._apply_sync(epoch, entries)
-
-    def _answer_sync(self, message: protocol.Message) -> protocol.Message:
-        """A peer pushed its state; adopt what's newer, answer with ours."""
-        try:
-            epoch, entries = protocol.parse_sync_state(message.body)
-        except ProtocolError as exc:
-            return protocol.Message(
-                type=protocol.ERROR, request_id=message.request_id,
-                body=protocol.build_error(protocol.E_BAD_REQUEST, str(exc)))
-        self.metrics.record_sync("received")
-        self._apply_sync(epoch, entries)
-        body = protocol.build_ok_sync(self.weights_epoch,
-                                      self._sync_entries())
-        return protocol.Message(type=protocol.OK_SYNC,
-                                request_id=message.request_id, body=body)
-
     # -- client connections --------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -601,8 +417,6 @@ class ClusterRouter:
         if message.type in (protocol.HEALTH, protocol.STATS,
                             protocol.GET_METRICS):
             return await self._answer_locally(message), 0
-        if message.type == protocol.SYNC_STATE:
-            return self._answer_sync(message), 0
         if message.type == protocol.PUT_CONTAINER:
             return await self._route_put(message)
         if message.type in (protocol.GET_META, protocol.GET_FUNCTION,
@@ -636,7 +450,6 @@ class ClusterRouter:
             snapshot["replication"] = self.replication
             snapshot["quorum"] = self.quorum
             snapshot["shard_load"] = dict(sorted(self._served.items()))
-            snapshot["weights_epoch"] = self.weights_epoch
             body = protocol.build_ok_stats(
                 json.dumps(snapshot, sort_keys=True).encode("utf-8"))
             return protocol.Message(type=protocol.OK_STATS,
@@ -747,14 +560,6 @@ class ClusterRouter:
         if hit is not None:
             return hit, 0
         replicas = self.replicas_for(container_id)
-        # Read-chase order: current replicas first, then every other
-        # shard.  A rebalance (or a weight adopted over gossip) can move
-        # a key's replica set after its container was stored, so a live
-        # E_NOT_FOUND from the current replicas is not definitive — the
-        # bytes still sit where an earlier ring put them.  Chasing is
-        # bounded by the shard count and only runs on the miss path.
-        chase = list(replicas) + [shard_id for shard_id in self._shards
-                                  if shard_id not in replicas]
         hops = 0
         last_reason = "no replica attempted"
         not_found: Optional[protocol.Message] = None
@@ -763,10 +568,10 @@ class ClusterRouter:
                 self.metrics.record_retry()
                 await asyncio.sleep(self._backoff(round_index - 1))
             round_unrouteable = False
-            candidates = self._candidates(chase)
-            # health probes may have already excluded a down shard
-            every_shard_attempted = len(candidates) == len(chase)
-            for position, shard in enumerate(candidates):
+            candidates = self._candidates(replicas)
+            # health probes may have already excluded a down replica
+            every_replica_attempted = len(candidates) == len(replicas)
+            for shard in candidates:
                 hops += 1
                 try:
                     response = await self._attempt(shard, message)
@@ -775,6 +580,8 @@ class ClusterRouter:
                     round_unrouteable = True
                     continue
                 if self._is_not_found(response):
+                    # a replica that missed the PUT (down at the time,
+                    # restarted since) lacks the key; another may hold it
                     not_found = response
                     last_reason = f"{shard.shard_id}: E_NOT_FOUND"
                     continue
@@ -788,11 +595,11 @@ class ClusterRouter:
                     self._cache_store(cache_key, response)
                 return response, hops
             if not_found is not None and not round_unrouteable \
-                    and every_shard_attempted:
-                # Every shard answered and none holds it: a genuine
-                # miss, not a routing artifact.  With any shard dead or
-                # unreachable the answer stays E_UNAVAILABLE — the key
-                # may well live on the shard we could not ask.
+                    and every_replica_attempted:
+                # Every replica answered and none holds it: a genuine
+                # miss.  With any replica dead or unreachable the answer
+                # stays E_UNAVAILABLE — the key may well live on the
+                # replica we could not ask.
                 return not_found, hops
         self.metrics.record_unavailable()
         body = protocol.build_error(
@@ -941,10 +748,6 @@ class RouterHandle:
         self._loop.call_soon_threadsafe(
             self.router.update_address, shard_id, host, port)
 
-    def set_peers(self, peers: List[Tuple[str, int]]) -> None:
-        """Thread-safe wiring of the gossip peer set."""
-        self._loop.call_soon_threadsafe(self.router.set_peers, list(peers))
-
     def stop(self, timeout: float = 5.0) -> None:
         if self._thread.is_alive():
             self._loop.call_soon_threadsafe(self._stop_event.set)
@@ -999,15 +802,9 @@ def router_in_thread(shards: Dict[str, Tuple[str, int]],
 __all__ = [
     "ClusterRouter",
     "DEFAULT_ATTEMPT_TIMEOUT",
-    "DEFAULT_EWMA_ALPHA",
     "DEFAULT_PROBE_INTERVAL",
     "DEFAULT_PROBE_TIMEOUT",
-    "DEFAULT_REBALANCE_INTERVAL",
-    "DEFAULT_REBALANCE_MIN_REQUESTS",
-    "DEFAULT_REBALANCE_THRESHOLD",
     "DEFAULT_ROUTE_ROUNDS",
-    "DEFAULT_SUSTAIN_TICKS",
-    "DEFAULT_SYNC_INTERVAL",
     "RouterConfig",
     "RouterHandle",
     "router_in_thread",

@@ -631,8 +631,8 @@ def _cluster_start(args: argparse.Namespace) -> int:
                                   replication=args.replication,
                                   cache_bytes=args.router_cache_bytes)
             # The first router listens on --port; extra routers take
-            # ephemeral ports (recorded in the state file) and gossip
-            # health + vnode weights with the first over SYNC_STATE.
+            # ephemeral ports (recorded in the state file).  Routers
+            # share no state: each probes every shard itself.
             routers = [ClusterRouter(shards, config=config)]
             for _ in range(1, args.routers):
                 routers.append(ClusterRouter(
@@ -641,10 +641,6 @@ def _cluster_start(args: argparse.Namespace) -> int:
             async def main() -> None:
                 for router in routers:
                     await router.start()
-                peer_addresses = [(args.host, router.port)
-                                  for router in routers]
-                for router in routers:
-                    router.set_peers(peer_addresses)
                 first = routers[0]
                 if args.port_file:
                     _write_port_file(args.port_file, first.port)
@@ -1062,8 +1058,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replicas per container (1..shards)")
     p.add_argument("--routers", type=int, default=1,
                    help="front-end routers; the first binds --port, the "
-                        "rest take ephemeral ports and gossip state "
-                        "(see the state file for their addresses)")
+                        "rest take ephemeral ports (see the state file "
+                        "for their addresses)")
     p.add_argument("--router-cache-bytes", type=int, default=0,
                    help="byte budget for the router response cache over "
                         "hot content-addressed GETs (0 = disabled)")

@@ -175,13 +175,6 @@ class TestSweep:
 
 
 class TestDeprecatedAlias:
-    def test_buffer_error_alias_warns_and_resolves(self):
-        import repro.jit
-
-        with pytest.warns(DeprecationWarning, match="BufferCapacityError"):
-            alias = repro.jit.BufferError_
-        assert alias is BufferCapacityError
-
     def test_unknown_attribute_still_raises(self):
         import repro.jit
 

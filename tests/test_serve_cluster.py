@@ -18,7 +18,7 @@ from repro.serve import (
     ServeClient,
     container_id_of,
 )
-from repro.serve import protocol
+from repro.serve import ServerConfig, protocol
 from repro.serve.client import RetryPolicy
 
 ASM = """
@@ -78,6 +78,23 @@ class TestTopology:
         assert ClusterConfig(shards=3, replication=2).quorum == 2
         assert ClusterConfig(shards=5, replication=3).quorum == 3
         assert ClusterConfig(shards=4, replication=1).quorum == 4
+
+    def test_configs_reach_shards_and_are_not_mutated(self):
+        """Every ServerConfig field reaches every shard, and starting
+        the cluster leaves the caller's RouterConfig untouched."""
+        router_config = RouterConfig(probe_interval=0.05, seed=11)
+        server_config = ServerConfig(prefetch_depth=8, cache_admission=True,
+                                     cache_bytes=1 << 16)
+        with LocalCluster(ClusterConfig(shards=3, replication=3,
+                                        router=router_config,
+                                        server=server_config)) as cluster:
+            for handle in cluster.handles.values():
+                config = handle.server.config
+                assert config.prefetch_depth == 8
+                assert config.cache_admission is True
+                assert config.cache_bytes == 1 << 16
+            assert cluster.router.router.config.replication == 3
+        assert router_config.replication == RouterConfig().replication
 
     def test_specs_and_live_count(self, cluster):
         specs = cluster.specs()
@@ -193,6 +210,56 @@ class TestFailover:
             assert f'shard="{victim}"' in text
 
 
+class TestReplicaReads:
+    """With a fixed ring, a key lives only on its replicas: reads try
+    those and no other shard."""
+
+    def test_replica_that_missed_the_put_fails_over(self, cluster,
+                                                   container):
+        cid = container_id_of(container)
+        replicas = cluster.replicas_for(cid)
+        metrics = cluster.router.metrics
+        cluster.kill_shard(replicas[0])
+        with cluster.client() as client:
+            assert client.put(container)[0] == cid
+            # the restarted shard's store never saw the container
+            cluster.restart_shard(replicas[0])
+            assert cid not in cluster.stores[replicas[0]]
+            assert wait_until(lambda: replicas[0] in
+                              cluster.router.router.live_shards)
+            served_before = dict(cluster.router.router._served)
+            failovers_before = metrics.failovers
+            assert client.function(cid, 0).name == "main"
+        served = cluster.router.router._served
+        assert served[replicas[1]] == served_before[replicas[1]] + 1
+        assert metrics.failovers > failovers_before
+
+    def test_replica_miss_with_other_replica_dead_is_unavailable(
+            self, cluster, container):
+        """One replica answers E_NOT_FOUND and the other is dead: the
+        key may live on the dead one, so the answer is E_UNAVAILABLE."""
+        cid = container_id_of(container)
+        replicas = cluster.replicas_for(cid)
+        cluster.kill_shard(replicas[0])
+        with cluster.client(retry_policy=RetryPolicy(
+                retries=1, base_delay=0.01, max_delay=0.05,
+                seed=3)) as client:
+            client.put(container)
+            cluster.restart_shard(replicas[0])
+            assert wait_until(lambda: replicas[0] in
+                              cluster.router.router.live_shards)
+            cluster.kill_shard(replicas[1])
+            with pytest.raises((UnavailableError, RemoteError)) as excinfo:
+                client.function(cid, 0)
+            if isinstance(excinfo.value, RemoteError):
+                assert excinfo.value.code == protocol.E_UNAVAILABLE
+
+    def test_unknown_container_still_not_found(self, cluster):
+        with cluster.client() as client:
+            with pytest.raises(RemoteError, match="E_NOT_FOUND"):
+                client.meta("00" * 32)
+
+
 class TestRouterObservability:
     def test_router_health_reports_live_shards(self, cluster):
         host, port = cluster.address
@@ -232,9 +299,10 @@ class TestUnknownTypeAndBadFrames:
     def test_unknown_request_type_is_bad_request(self, cluster):
         host, port = cluster.address
         with ServeClient(host, port) as client:
-            with pytest.raises(RemoteError) as excinfo:
-                client._request(0x55, b"", op="stats")
-            assert excinfo.value.code == protocol.E_BAD_REQUEST
+            for mtype in (0x55, 0x0A):   # 0x0A is reserved (PROTOCOL.md)
+                with pytest.raises(RemoteError) as excinfo:
+                    client._request(mtype, b"", op="stats")
+                assert excinfo.value.code == protocol.E_BAD_REQUEST
 
     def test_short_get_body_is_bad_request(self, cluster):
         host, port = cluster.address

@@ -138,38 +138,6 @@ class TestBodies:
         assert protocol.parse_ok_stats(
             protocol.build_ok_stats(b'{"a": 1}')) == b'{"a": 1}'
 
-    def test_sync_state_roundtrip(self):
-        entries = [("shard-0", "up", 1.0), ("shard-1", "draining", 0.5),
-                   ("shard-2", "down", 2.25)]
-        epoch, parsed = protocol.parse_sync_state(
-            protocol.build_sync_state(17, entries))
-        assert epoch == 17
-        assert parsed == entries
-
-    def test_ok_sync_roundtrip(self):
-        entries = [("shard-0", "suspect", 1.0)]
-        assert protocol.parse_ok_sync(
-            protocol.build_ok_sync(0, entries)) == (0, entries)
-
-    def test_sync_weight_survives_ppm_quantization(self):
-        weight = 1.2345678   # below-ppm digits are rounded away
-        _epoch, [(_sid, _state, parsed)] = protocol.parse_sync_state(
-            protocol.build_sync_state(1, [("s", "up", weight)]))
-        assert parsed == pytest.approx(weight, abs=1e-6)
-
-    def test_sync_rejects_unknown_state(self):
-        with pytest.raises(ProtocolError):
-            protocol.build_sync_state(1, [("shard-0", "sideways", 1.0)])
-        body = bytearray(protocol.build_sync_state(1, [("s", "up", 1.0)]))
-        # layout: epoch(1) count(1) idlen(1) id(1) state(1) weight...
-        body[4] = 9
-        with pytest.raises(ProtocolError):
-            protocol.parse_sync_state(bytes(body))
-
-    def test_sync_rejects_zero_weight(self):
-        with pytest.raises(ProtocolError):
-            protocol.build_sync_state(1, [("shard-0", "up", 0.0)])
-
 
 class TestInstructionTransport:
     @pytest.fixture()

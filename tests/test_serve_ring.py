@@ -8,6 +8,8 @@ leaves the ring.
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.ring import DEFAULT_VNODES, HashRing
 
@@ -53,6 +55,18 @@ class TestPlacement:
             replicas = ring.replicas_for(key, 3)
             assert len(replicas) == len(set(replicas)) == 3
 
+    @given(vnodes=st.integers(min_value=1, max_value=DEFAULT_VNODES))
+    @settings(max_examples=25, deadline=None)
+    def test_replicas_never_collapse_below_r(self, vnodes):
+        """R-way replication holds at any vnode count: replica sets are
+        R *distinct* shards even when a shard has a single ring point."""
+        ring = HashRing(SHARDS, vnodes=vnodes)
+        for replication in (2, 3, 5):
+            for key in _keys(64):
+                replicas = ring.replicas_for(key, replication)
+                assert len(replicas) == replication
+                assert len(set(replicas)) == replication
+
     def test_primary_is_first_replica(self):
         ring = HashRing(SHARDS)
         for key in _keys(50):
@@ -97,6 +111,21 @@ class TestLoadAndMovement:
                 moved += 1
         # consistent hashing: keys not owned by the removed shard stay put
         assert moved == 0
+
+    def test_without_keeps_survivors_placement(self):
+        """Removing a shard only drops it from replica lists: every
+        key's surviving replicas keep their order, and keys it did not
+        hold keep their whole replica set."""
+        ring = HashRing(SHARDS)
+        for removed in SHARDS:
+            smaller = ring.without(removed)
+            for key in _keys(200):
+                before = ring.replicas_for(key, 3)
+                after = smaller.replicas_for(key, 3)
+                survivors = [shard for shard in before if shard != removed]
+                assert after[:len(survivors)] == survivors
+                if removed not in before:
+                    assert after == before
 
     def test_survivor_replica_set_still_covers_key(self):
         ring = HashRing(SHARDS)
