@@ -2,7 +2,8 @@
 """Pipeline-throughput regression guard.
 
 Measures full-pipeline ``repro.core.compress`` and ``decompress``
-wall-clock on the largest corpus program, writes the numbers to
+wall-clock on the largest corpus program, writes the numbers (and
+decompress's parse / dictionary-phase / copy-phase split) to
 ``benchmarks/BENCH_pipeline.json``, and exits non-zero if either
 direction's throughput regressed more than ``--tolerance`` (default 20%)
 against the recorded baseline in ``benchmarks/BENCH_baseline.json``.
@@ -210,13 +211,31 @@ def check_prefetch(max_p99_ratio: float, min_hit_gain: float) -> int:
 
 
 def measure(program_name: str, scale: float, rounds: int) -> dict:
-    from repro.core import compress, decompress
+    """Best-of-``rounds`` compress and decompress times, plus decompress's
+    phase split from its best profiled round.
+
+    ``dictionary_phase_mb_s`` is the dictionary sections' bytes (common
+    and per-segment base-entry and tree blobs) over ``dictionary_phase_s``.
+    """
+    from repro.core import compress, decompress, parse
+    from repro.perf import PhaseProfile
     from repro.workloads import benchmark_program
 
     program = benchmark_program(program_name, scale=scale)
     compress_s = min(_timed(compress, program) for _ in range(rounds))
     container = compress(program)
     decompress_s = min(_timed(decompress, container.data) for _ in range(rounds))
+    phases = []
+    for _ in range(rounds):
+        profile = PhaseProfile()
+        decompress(container.data, profile=profile)
+        phases.append(profile.timings)
+    best = min(phases, key=lambda timings: sum(timings.values()))
+    sections = parse(container.data)
+    dictionary_bytes = (len(sections.common_base_blob)
+                        + len(sections.common_tree_blob)
+                        + sum(len(segment.base_blob) + len(segment.tree_blob)
+                              for segment in sections.segments))
     return {
         "program": program_name,
         "scale": scale,
@@ -224,6 +243,11 @@ def measure(program_name: str, scale: float, rounds: int) -> dict:
         "container_bytes": container.size,
         "compress_s": compress_s,
         "decompress_s": decompress_s,
+        "parse_s": best["parse"],
+        "dictionary_phase_s": best["dictionary_phase"],
+        "copy_phase_s": best["copy_phase"],
+        "dictionary_phase_mb_s": round(
+            dictionary_bytes / 1e6 / best["dictionary_phase"], 3),
     }
 
 

@@ -20,7 +20,8 @@ from typing import List, Optional, Tuple
 
 from ..errors import CorruptContainer
 from ..isa import Instruction, info
-from ..isa.opcodes import OP_BY_CODE
+from ..isa.instruction import SLOT_SETTERS, TARGET_SIZES
+from ..isa.opcodes import NUM_REGISTERS, OP_BY_CODE
 from ..lz import delta as delta_codec
 from ..lz import lz77
 from ..lz.varint import ByteReader, ByteWriter
@@ -88,12 +89,48 @@ def _encode_groups(ordered: List[BaseEntry], use_delta: bool) -> bytes:
     return writer.getvalue()
 
 
+#: slot setters of :class:`BaseEntry`, in field order (it has no checks)
+_ENTRY_SETTERS = tuple(BaseEntry.__dict__[name].__set__
+                       for name in ("key", "instruction", "target_size",
+                                    "stored_target"))
+
+
+def _raise_first_bad_entry(op, regs: Tuple[List[Optional[int]], ...],
+                           sizes: List[Optional[int]]) -> None:
+    """Report the first entry of a group that failed a column check, with
+    the message the validating constructor and ``match_key`` give."""
+    for position, size in enumerate(sizes):
+        for name, column in zip(("rd", "rs1", "rs2"), regs):
+            value = column[position]
+            if value is not None and not 0 <= value < NUM_REGISTERS:
+                raise CorruptContainer(
+                    f"{op.value}: register {name}={value} out of range")
+        if size is not None and size not in TARGET_SIZES:
+            raise CorruptContainer(
+                f"{op.value}: branch match key needs a target size in "
+                f"{TARGET_SIZES}, got {size or None!r}")
+    raise AssertionError("column check failed but no entry does")
+
+
 def _decode_groups(data: bytes, use_delta: bool) -> List[BaseEntry]:
+    """Rebuild base entries a group at a time, column by column.
+
+    Each constructor check runs once per group on the whole column: the
+    opcode fixes which fields are present, a register column is in range
+    when its maximum is, and a target-size column when its set of values
+    is a subset of ``TARGET_SIZES``.  Instructions and entries are then
+    built with their slot setters, keys laid out as
+    :meth:`Instruction.match_key` does.
+    """
     reader = ByteReader(data)
     group_count = reader.read_uvarint()
     if group_count > len(OP_BY_CODE):
         raise CorruptContainer(f"corrupt base-entry blob: {group_count} groups")
     entries: List[BaseEntry] = []
+    append = entries.append
+    new = object.__new__
+    set_op, set_rd, set_rs1, set_rs2, set_imm, set_target = SLOT_SETTERS
+    set_key, set_instruction, set_size, set_stored = _ENTRY_SETTERS
     for _ in range(group_count):
         code = reader.read_u8()
         meta = OP_BY_CODE.get(code)
@@ -102,39 +139,51 @@ def _decode_groups(data: bytes, use_delta: bool) -> List[BaseEntry]:
         count = reader.read_uvarint()
         if count > len(data):
             raise CorruptContainer(f"corrupt base-entry blob: group of {count} entries")
-        imms: List[Optional[int]] = [None] * count
-        target_sizes: List[Optional[int]] = [None] * count
-        regs = {"rd": [None] * count, "rs1": [None] * count, "rs2": [None] * count}
+        op = meta.op
+        absent: List[Optional[int]] = [None] * count
+        imms = absent
         if meta.uses_imm:
             if use_delta:
-                blob = reader.read_bytes(reader.read_uvarint())
-                imms = list(delta_codec.decode_deltas(blob))
+                imms = delta_codec.decode_deltas(
+                    reader.read_bytes(reader.read_uvarint()))
+                if len(imms) != count:
+                    raise CorruptContainer(
+                        f"corrupt base-entry blob: {len(imms)} immediates "
+                        f"for a group of {count} entries")
             else:
                 imms = reader.read_svarint_run(count)
-        stored_targets: List[Optional[int]] = [None] * count
+        sizes = stored_targets = absent
+        target = tag = None
         if meta.uses_target:
-            target_sizes = [size or None for size in reader.read_u8_run(count)]
+            sizes = reader.read_u8_run(count)
             if reader.read_u8():
                 stored_targets = reader.read_svarint_run(count)
-        for field in ("rd", "rs1", "rs2"):
-            if getattr(meta, f"uses_{field}"):
-                regs[field] = reader.read_u8_run(count)
-        for position in range(count):
-            insn = Instruction(
-                op=meta.op,
-                rd=regs["rd"][position],
-                rs1=regs["rs1"][position],
-                rs2=regs["rs2"][position],
-                imm=imms[position],
-                target=0 if meta.uses_target else None,
-            )
-            size = target_sizes[position]
-            key = insn.match_key(size) if meta.uses_target else insn.match_key()
-            stored = stored_targets[position]
+            target, tag = 0, "sz"
+        regs = tuple(reader.read_u8_run(count) if used else absent
+                     for used in (meta.uses_rd, meta.uses_rs1, meta.uses_rs2))
+        if (any(max(column, default=0) >= NUM_REGISTERS
+                for column in regs if column is not absent)
+                or sizes is not absent
+                and not set(sizes).issubset(TARGET_SIZES)):
+            _raise_first_bad_entry(op, regs, sizes)
+        for rd, rs1, rs2, imm, size, stored in zip(*regs, imms, sizes,
+                                                  stored_targets):
+            insn = new(Instruction)
+            set_op(insn, op)
+            set_rd(insn, rd)
+            set_rs1(insn, rs1)
+            set_rs2(insn, rs2)
+            set_imm(insn, imm)
+            set_target(insn, target)
+            key = (op, rd, rs1, rs2, imm, tag, size)
             if stored is not None:
-                key = key + (stored,)
-            entries.append(BaseEntry(key=key, instruction=insn, target_size=size,
-                                     stored_target=stored))
+                key += (stored,)
+            entry = new(BaseEntry)
+            set_key(entry, key)
+            set_instruction(entry, insn)
+            set_size(entry, size)
+            set_stored(entry, stored)
+            append(entry)
     return entries
 
 

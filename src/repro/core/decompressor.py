@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 
 from ..errors import CorruptContainer, ReproError, as_corrupt
 from ..isa import Function, Instruction, Program
+from ..isa.instruction import SLOT_SETTERS
 from ..obs import REGISTRY, TRACER
 from ..perf.profile import PhaseProfile, ensure
 from . import container
@@ -34,11 +35,7 @@ from .items import (
     planes_to_items,
     resolve_plane_targets,
 )
-from .layout import SegmentLayout, layouts_from_sections
-
-
-class DecompressionError(CorruptContainer):
-    """Raised when a container cannot be decoded consistently."""
+from .layout import DecompressionError, SegmentLayout, layouts_from_sections
 
 
 _OPEN_RUNS = REGISTRY.counter(
@@ -119,54 +116,42 @@ class SSDReader:
     def function_instructions(self, findex: int) -> List[Instruction]:
         """Incrementally decompress one function back to VM instructions.
 
-        Runs over split planes: each dictionary index expands from a
-        cached instruction list (constant for every item of that index),
-        and only the trailing target-carrying instruction — if any — is
-        materialized per item.
+        Runs over split planes: each item extends the output by its
+        index's prefix from the layout's decode table, and only the
+        trailing target-carrying instruction — if any — is cloned per item
+        with the item's target.
         """
         layout = self.layout_for_function(findex)
         planes = self.item_planes(findex)
         targets = resolve_plane_targets(planes)
-        local = layout.expansions
-        shared = layout.shared_expansions
-        common_limit = layout.common_limit if shared is not None else 0
-        common_bases = layout.common_base_count
+        table = layout.table
+        new = object.__new__
+        set_op, set_rd, set_rs1, set_rs2, set_imm, set_target = SLOT_SETTERS
         instructions: List[Instruction] = []
         extend = instructions.extend
         append = instructions.append
         for index, kind, value, target in zip(planes.indices, planes.kinds,
                                               planes.values, targets):
-            if index < common_limit:
-                expansion = shared.get(index)
-                if expansion is None:
-                    expansion = _build_expansion(layout, index)
-                    # A (corrupt) common path may reach into this
-                    # segment's local bases; only container-wide
-                    # expansions go in the shared cache.
-                    path = layout.paths_of[index]
-                    if all(addr < common_bases for addr in path):
-                        shared[index] = expansion
-                    else:
-                        local[index] = expansion
-            else:
-                expansion = local.get(index)
-                if expansion is None:
-                    expansion = _build_expansion(layout, index)
-                    local[index] = expansion
-            prefix, last_insn, last_is_branch = expansion
+            prefix, tail, tail_is_branch = table[index]
             extend(prefix)
-            if last_insn is None:
+            if tail is None:
                 continue
-            if last_is_branch:
+            if tail_is_branch:
                 if target is None:
                     raise DecompressionError(
                         "branch item without a resolved target")
-                append(last_insn.replace_target(target))
+            elif kind != KIND_CALL:
+                raise DecompressionError("call item without a callee index")
             else:
-                if kind != KIND_CALL:
-                    raise DecompressionError(
-                        "call item without a callee index")
-                append(last_insn.replace_target(value))
+                target = value
+            clone = new(Instruction)
+            set_op(clone, tail.op)
+            set_rd(clone, tail.rd)
+            set_rs1(clone, tail.rs1)
+            set_rs2(clone, tail.rs2)
+            set_imm(clone, tail.imm)
+            set_target(clone, target)
+            append(clone)
         return instructions
 
     def function(self, findex: int) -> Function:
@@ -208,54 +193,6 @@ class SSDReader:
                      for findex in range(self.function_count)]
         return Program(name=self.sections.program_name, functions=functions,
                        entry=self.sections.entry)
-
-
-def _build_expansion(layout: SegmentLayout, index: int):
-    """Expansion cache entry for one dictionary index.
-
-    Returns ``(prefix, last_insn, last_is_branch)``: the instructions the
-    index always expands to, plus — when the path ends in an entry that
-    carries its target in the item — the trailing instruction awaiting a
-    target and whether it takes a branch target (else a callee index).
-    Target-in-entry bases (absolute-targets ablation) resolve here, so
-    their items cost nothing per occurrence either.
-    """
-    path = layout.paths_of[index]
-    last_offset = len(path) - 1
-    base_flags = layout.base_flags
-    if len(base_flags) != len(layout.addr_bases):
-        # Hand-built layouts (tests) skip _populate; derive flags once.
-        base_flags[:] = [(b.has_target, b.target_in_entry)
-                         for b in layout.addr_bases]
-    if last_offset == 0:
-        # Base-entry reference (the common case): no prefix to assemble.
-        addr = path[0]
-        has_target, target_in_entry = base_flags[addr]
-        base = layout.addr_bases[addr]
-        if not has_target:
-            return [base.instruction], None, False
-        if target_in_entry:
-            return ([base.instruction.replace_target(base.stored_target)],
-                    None, False)
-        return [], base.instruction, base.instruction.is_branch
-    prefix: List[Instruction] = []
-    for offset, addr in enumerate(path):
-        base = layout.addr_bases[addr]
-        has_target, target_in_entry = base_flags[addr]
-        if has_target:
-            if offset != last_offset:
-                raise DecompressionError(
-                    "control transfer inside a sequence entry")
-            if target_in_entry:
-                # Absolute-targets ablation: the target is stored in the
-                # entry.
-                prefix.append(base.instruction.replace_target(
-                    base.stored_target))
-            else:
-                return prefix, base.instruction, base.instruction.is_branch
-        else:
-            prefix.append(base.instruction)
-    return prefix, None, False
 
 
 def open_container(data: bytes,

@@ -53,7 +53,7 @@ from ..perf.profile import PhaseProfile, ensure
 MAX_SEQUENCE_LENGTH = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseEntry:
     """A dictionary entry for a single unique instruction.
 

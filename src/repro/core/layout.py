@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CorruptContainer, LimitExceeded
+from ..isa import Instruction
 from ..isa import info as _op_info
 from .base_entries import decode_base_entries, encode_base_entries, order_base_entries
 from .container import DEFAULT_LIMITS, DecodeLimits, SegmentSections
@@ -35,6 +36,16 @@ from .sequence_tree import (
 )
 
 
+class DecompressionError(CorruptContainer):
+    """Raised when a container cannot be decoded consistently."""
+
+
+#: what one dictionary index expands to: the instructions it always
+#: yields, then the trailing instruction awaiting its item's target (or
+#: ``None``) and whether that target is a branch target (else a callee)
+Expansion = Tuple[Tuple[Instruction, ...], Optional[Instruction], bool]
+
+
 @dataclass
 class SegmentLayout:
     """Everything needed to encode or decode one segment's item streams.
@@ -43,37 +54,23 @@ class SegmentLayout:
       (common bases first, then this segment's local bases);
     * ``info_of`` — 16-bit dictionary index -> :class:`EntryInfo`;
     * ``paths_of`` — 16-bit dictionary index -> tuple of addressing ids
-      (length 1 for base entries) — the decode side's expansion table;
+      (length 1 for base entries);
     * ``index_of`` — compressor side only: a reference's provisional
-      base-id tuple -> 16-bit dictionary index.
+      base-id tuple -> 16-bit dictionary index;
+    * ``table`` — decompressor side only: the decode table,
+      ``table[index]`` being the :data:`Expansion` of dictionary index
+      ``index``.
     """
 
     addr_bases: List[BaseEntry]
     info_of: Dict[int, EntryInfo] = field(default_factory=dict)
     paths_of: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     index_of: Dict[Tuple[int, ...], int] = field(default_factory=dict)
+    table: Tuple[Expansion, ...] = field(default=(), compare=False, repr=False)
     #: lazily built numpy :class:`~repro.kernels.items.ItemDecodeTable`
     #: (decode-side cache; excluded from equality so rebuilt layouts still
     #: compare equal to freshly built ones)
     kernel_table: object = field(default=None, compare=False, repr=False)
-    #: lazily built per-index instruction expansions (see
-    #: ``SSDReader.function_instructions``)
-    expansions: Dict[int, tuple] = field(default_factory=dict, compare=False,
-                                         repr=False)
-    #: per-base ``(has_target, target_in_entry)`` computed once during
-    #: :func:`_populate` — the decode hot path reads these instead of the
-    #: ``BaseEntry`` property chain
-    base_flags: List[Tuple[bool, bool]] = field(default_factory=list,
-                                                compare=False, repr=False)
-    #: expansions for indices below ``common_limit``, shared by every
-    #: layout of the container (the common dictionary is identical across
-    #: segments, so each entry expands once per container, not per segment)
-    shared_expansions: Optional[Dict[int, tuple]] = field(
-        default=None, compare=False, repr=False)
-    #: first dictionary index that is segment-local (``cb + cs``)
-    common_limit: int = field(default=0, compare=False, repr=False)
-    #: number of common bases (addressing ids below this are shared)
-    common_base_count: int = field(default=0, compare=False, repr=False)
 
 
 #: Interned EntryInfo values — the (length, flags) space is tiny, and one
@@ -92,69 +89,90 @@ def _interned_info(length: int, is_branch: bool, is_call: bool,
     return cached
 
 
-def _entry_flags(layout: SegmentLayout) -> List[Tuple[bool, bool, int]]:
-    """Per-base ``(is_branch, is_call, target_size)`` after the
-    target-in-entry rule, computed once so :func:`_populate` does not walk
-    the ``BaseEntry`` property chain for every dictionary path.  Fills
-    ``layout.base_flags`` as a side effect for the decode hot path."""
-    flags: List[Tuple[bool, bool, int]] = []
-    base_flags = layout.base_flags
-    for base in layout.addr_bases:
-        meta = _op_info(base.instruction.op)
-        is_branch = meta.is_branch
-        is_call = meta.is_call
-        has_target = is_branch or is_call
-        target_in_entry = base.stored_target is not None
-        base_flags.append((has_target, target_in_entry))
-        carries = has_target and not target_in_entry
-        flags.append((
-            is_branch and carries,
-            is_call and carries,
-            (base.target_size or 0) if carries else 0,
-        ))
-    return flags
+#: per base, by addressing id: (info, expansion or None, transfers control)
+_Columns = Tuple[List[EntryInfo], Optional[List[Expansion]], List[bool]]
 
 
-def _populate(layout: SegmentLayout,
-              common_base_count: int,
-              common_ranks: Dict[Tuple[int, ...], int],
-              local_base_count: int,
-              local_ranks: Dict[Tuple[int, ...], int]) -> Tuple[int, int]:
-    """Fill ``info_of``/``paths_of``; returns (common node count, local base offset)."""
-    cb = common_base_count
-    cs = len(common_ranks)
-    lb = local_base_count
-    flags = _entry_flags(layout)
-    info_of = layout.info_of
-    paths_of = layout.paths_of
+def _base_columns(bases: List[BaseEntry], table: bool) -> _Columns:
+    """Per base: the info of its one-entry path, the path's expansion
+    when building a decode ``table`` (the compressor has no use for one),
+    and whether the base transfers control (which bars it from inside a
+    sequence)."""
+    infos: List[EntryInfo] = []
+    expansions: Optional[List[Expansion]] = [] if table else None
+    transfers: List[bool] = []
+    plain = _interned_info(1, False, False, 0)
+    for base in bases:
+        insn = base.instruction
+        meta = _op_info(insn.op)
+        transfer = meta.is_branch or meta.is_call
+        carries = transfer and base.stored_target is None
+        infos.append(_interned_info(1, meta.is_branch, meta.is_call,
+                                    base.target_size or 0)
+                     if carries else plain)
+        transfers.append(transfer)
+        if expansions is None:
+            continue
+        if carries:
+            expansions.append(((), insn, meta.is_branch))
+        elif transfer:
+            # Absolute-targets ablation: the target is stored in the entry.
+            expansions.append(
+                ((insn.replace_target(base.stored_target),), None, False))
+        else:
+            expansions.append(((insn,), None, False))
+    return infos, expansions, transfers
 
-    def entry_info(path: Tuple[int, ...]) -> EntryInfo:
-        is_branch, is_call, target_size = flags[path[-1]]
-        return _interned_info(len(path), is_branch, is_call, target_size)
 
-    # Common bases: [0, cb)
-    for addr in range(cb):
-        info_of[addr] = entry_info((addr,))
-        paths_of[addr] = (addr,)
-    # Common tree nodes: [cb, cb+cs)
-    for path, rank in common_ranks.items():
-        index = cb + rank
-        info_of[index] = entry_info(path)
-        paths_of[index] = path
-    # Local bases: [cb+cs, cb+cs+lb), addressing ids [cb, cb+lb)
-    for position in range(lb):
-        addr = cb + position
-        index = cb + cs + position
-        info_of[index] = entry_info((addr,))
-        paths_of[index] = (addr,)
-    # Local tree nodes: [cb+cs+lb, ...)
-    for path, rank in local_ranks.items():
-        index = cb + cs + lb + rank
-        info_of[index] = entry_info(path)
-        paths_of[index] = path
-    layout.common_limit = cb + cs
-    layout.common_base_count = cb
-    return cs, cb + cs
+def _join(shared: Optional[list], own: Optional[list]) -> Optional[list]:
+    return None if shared is None else shared + own
+
+
+#: one index region's (infos, paths, expansions or None), in index order
+_Region = Tuple[List[EntryInfo], List[Tuple[int, ...]], Optional[list]]
+
+
+def _region(columns: _Columns, first_addr: int, base_count: int,
+            ranks: Dict[Tuple[int, ...], int]) -> _Region:
+    """The entries of one index region: ``base_count`` bases from
+    addressing id ``first_addr``, then the sequence nodes by rank."""
+    base_infos, base_expansions, transfers = columns
+    stop = first_addr + base_count
+    infos = base_infos[first_addr:stop]
+    paths = [(addr,) for addr in range(first_addr, stop)]
+    expansions = (None if base_expansions is None
+                  else base_expansions[first_addr:stop])
+    nodes: List[Tuple[int, ...]] = [()] * len(ranks)
+    for path, rank in ranks.items():
+        nodes[rank] = path
+    for path in nodes:
+        inner = path[:-1]
+        for addr in inner:
+            if transfers[addr]:
+                raise DecompressionError(
+                    "control transfer inside a sequence entry")
+        last = path[-1]
+        info = base_infos[last]
+        infos.append(_interned_info(len(path), info.is_branch, info.is_call,
+                                    info.target_size))
+        if expansions is not None:
+            prefix: Tuple[Instruction, ...] = ()
+            for addr in inner:
+                prefix += base_expansions[addr][0]
+            head, tail, tail_is_branch = base_expansions[last]
+            expansions.append((prefix + head, tail, tail_is_branch))
+    paths += nodes
+    return infos, paths, expansions
+
+
+def _segment_layout(bases: List[BaseEntry], common: _Region,
+                    local: _Region) -> SegmentLayout:
+    """One segment's layout.  Index order: common bases ``[0, cb)``,
+    common nodes ``[cb, cb+cs)``, then this segment's bases and nodes."""
+    infos, paths, expansions = map(_join, common, local)
+    return SegmentLayout(addr_bases=bases, info_of=dict(enumerate(infos)),
+                         paths_of=dict(enumerate(paths)),
+                         table=tuple(expansions or ()))
 
 
 def build_layouts(dictionary: SSDDictionary, plan: PartitionPlan,
@@ -183,6 +201,9 @@ def build_layouts(dictionary: SSDDictionary, plan: PartitionPlan,
     common_tree_blob = encode_sequence_tree(common_mapped, base_space=max(cb, 1)) \
         if common_mapped else b""
     common_seq_index = {path: cb + rank for path, rank in common_ranks.items()}
+    cs = len(common_ranks)
+    common_columns = _base_columns(ordered_common, table=False)
+    common_region = _region(common_columns, 0, cb, common_ranks)
 
     layouts: List[SegmentLayout] = []
     segment_sections: List[SegmentSections] = []
@@ -201,9 +222,10 @@ def build_layouts(dictionary: SSDDictionary, plan: PartitionPlan,
         tree_blob = encode_sequence_tree(local_mapped, base_space=cb + lb) \
             if local_mapped else b""
 
-        layout = SegmentLayout(addr_bases=ordered_common + ordered_local)
-        cs, local_base_index_start = _populate(
-            layout, cb, common_ranks, lb, local_ranks)
+        columns = tuple(map(_join, common_columns,
+                            _base_columns(ordered_local, table=False)))
+        layout = _segment_layout(ordered_common + ordered_local, common_region,
+                                 _region(columns, cb, lb, local_ranks))
 
         # Compressor-side reference map (provisional ids -> final index).
         for provisional in plan.common_base_ids:
@@ -226,49 +248,49 @@ def build_layouts(dictionary: SSDDictionary, plan: PartitionPlan,
     return layouts, common_base_blob, common_tree_blob, segment_sections
 
 
-def _check_decoded_segment(sindex: int, addr_base_count: int,
-                           common_ranks: Dict[Tuple[int, ...], int],
-                           local_ranks: Dict[Tuple[int, ...], int],
-                           limits: DecodeLimits) -> None:
-    """Reject decoded dictionaries whose paths index outside the base
-    space or whose entry total exceeds the decode limit — a corrupt tree
-    blob must surface as a typed error, never an ``IndexError`` later."""
-    total = addr_base_count + len(common_ranks) + len(local_ranks)
-    if total > limits.max_dict_entries:
-        raise LimitExceeded(
-            f"segment {sindex} declares {total} dictionary entries "
-            f"(limit {limits.max_dict_entries})",
-            section=f"segment[{sindex}]")
-    for ranks in (common_ranks, local_ranks):
-        for path in ranks:
-            for addr in path:
-                if addr >= addr_base_count:
-                    raise CorruptContainer(
-                        f"segment {sindex}: sequence path references base "
-                        f"{addr}, but only {addr_base_count} bases exist",
-                        section=f"segment[{sindex}].tree")
+def _check_paths(paths, base_count: int, section: str, where: str) -> None:
+    """Reject sequence paths that index outside their base space — a
+    corrupt tree blob must surface as a typed error, never an
+    ``IndexError`` or a wrong expansion later."""
+    for path in paths:
+        for addr in path:
+            if addr >= base_count:
+                raise CorruptContainer(
+                    f"{where}: sequence path references base {addr}, but "
+                    f"only {base_count} bases exist", section=section)
 
 
 def layouts_from_sections(common_base_blob: bytes, common_tree_blob: bytes,
                           segments: List[SegmentSections],
                           limits: DecodeLimits = DEFAULT_LIMITS,
                           ) -> List[SegmentLayout]:
-    """Decompressor side: rebuild layouts from container sections."""
+    """Decompressor side: rebuild layouts from container sections.
+
+    The common region of the index space is the same in every segment
+    (common paths may only reach common bases), so it is built once and
+    shared by every segment's decode table.
+    """
     common_bases = decode_base_entries(common_base_blob) if common_base_blob else []
     common_ranks = decode_sequence_tree(common_tree_blob) if common_tree_blob else {}
     cb = len(common_bases)
+    _check_paths(common_ranks, cb, "common.tree", "common dictionary")
+    common_columns = _base_columns(common_bases, table=True)
+    common_region = _region(common_columns, 0, cb, common_ranks)
     layouts: List[SegmentLayout] = []
-    # Every layout shares the container's common dictionary, so share one
-    # expansion cache (and one kernel table slot would not work: local
-    # indices differ per segment, but common indices are identical).
-    common_expansions: Dict[int, tuple] = {}
     for sindex, segment in enumerate(segments):
         local_bases = decode_base_entries(segment.base_blob) if segment.base_blob else []
         local_ranks = decode_sequence_tree(segment.tree_blob) if segment.tree_blob else {}
-        _check_decoded_segment(sindex, cb + len(local_bases),
-                               common_ranks, local_ranks, limits)
-        layout = SegmentLayout(addr_bases=common_bases + local_bases,
-                               shared_expansions=common_expansions)
-        _populate(layout, cb, common_ranks, len(local_bases), local_ranks)
-        layouts.append(layout)
+        lb = len(local_bases)
+        total = cb + lb + len(common_ranks) + len(local_ranks)
+        if total > limits.max_dict_entries:
+            raise LimitExceeded(
+                f"segment {sindex} declares {total} dictionary entries "
+                f"(limit {limits.max_dict_entries})",
+                section=f"segment[{sindex}]")
+        _check_paths(local_ranks, cb + lb, f"segment[{sindex}].tree",
+                     f"segment {sindex}")
+        columns = tuple(map(_join, common_columns,
+                            _base_columns(local_bases, table=True)))
+        layouts.append(_segment_layout(common_bases + local_bases, common_region,
+                                       _region(columns, cb, lb, local_ranks)))
     return layouts

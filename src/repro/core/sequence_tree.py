@@ -22,10 +22,11 @@ because shared prefixes are common.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-from ..errors import CorruptContainer
+from ..errors import CorruptContainer, TruncatedStream
 from ..lz import lz77
 from ..lz.varint import ByteReader, ByteWriter
 
@@ -123,7 +124,8 @@ def encode_sequence_tree(sequences: Iterable[Tuple[int, ...]],
 
 def decode_sequence_tree(blob: bytes) -> Dict[Tuple[int, ...], int]:
     """Parse the forest; returns path -> DFS rank (as in assignment)."""
-    reader = ByteReader(lz77.decompress(blob))
+    data = lz77.decompress(blob)
+    reader = ByteReader(data)
     use_high_bit = bool(reader.read_u8())
     root_count = reader.read_uvarint()
     pop_token = _POP_HIGH_BIT if use_high_bit else _POP_RESERVED
@@ -131,14 +133,20 @@ def decode_sequence_tree(blob: bytes) -> Dict[Tuple[int, ...], int]:
     counter = 0
     path: List[int] = []
     roots_seen = 0
-    while roots_seen < root_count:
-        token = reader.read_u16()
+    if not root_count:
+        return ranks
+    # The rest is little-endian u16 tokens: unpack them in one call.
+    start = reader.position
+    tokens = struct.unpack_from(f"<{(len(data) - start) // 2}H", data, start)
+    for token in tokens:
         if token == pop_token:
             if not path:
                 raise CorruptContainer("corrupt sequence tree: pop past a root")
             path.pop()
             if not path:
                 roots_seen += 1
+                if roots_seen == root_count:
+                    break
             continue
         if use_high_bit and token & _POP_HIGH_BIT:
             raise CorruptContainer(f"corrupt sequence tree: unexpected token {token:#x}")
@@ -146,6 +154,14 @@ def decode_sequence_tree(blob: bytes) -> Dict[Tuple[int, ...], int]:
         if len(path) >= 2:
             ranks[tuple(path)] = counter
             counter += 1
+    if roots_seen < root_count:
+        end = start + 2 * len(tokens)
+        raise TruncatedStream(
+            f"truncated byte block: need 2 bytes, {len(data) - end} remain",
+            offset=end)
+    if len(ranks) != counter:
+        # a path seen twice would leave a hole in the index space
+        raise CorruptContainer("corrupt sequence tree: duplicate path")
     return ranks
 
 

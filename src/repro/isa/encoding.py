@@ -34,7 +34,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import CorruptContainer, TruncatedStream
 from ..lz.varint import ByteReader, ByteWriter, encode_uvarint
-from .instruction import Instruction, immediate_size_class, target_size_class
+from .instruction import (SLOT_SETTERS, Instruction, immediate_size_class,
+                          target_size_class)
 from .opcodes import NUM_REGISTERS, OP_BY_CODE, Op, info
 from .program import Function, Program
 
@@ -90,12 +91,6 @@ def _plan(code: int) -> Optional[_Plan]:
 #: one plan per opcode byte; ``None`` for bytes that name no opcode
 _PLANS: List[Optional[_Plan]] = [_plan(code) for code in range(256)]
 
-#: slot setters: the decoder builds instructions without ``__post_init__``
-#: (like ``Instruction.replace_target``) and makes its checks itself
-_SETTERS = tuple(Instruction.__dict__[field].__set__
-                 for field in ("op", "rd", "rs1", "rs2", "imm", "target"))
-
-
 def decode_instructions(data: bytes, pos: int, count: int,
                         start: int) -> Tuple[List[Instruction], int]:
     """Decode ``count`` instructions from ``data[pos:]``, the first at
@@ -103,7 +98,7 @@ def decode_instructions(data: bytes, pos: int, count: int,
     size = len(data)
     from_bytes = int.from_bytes
     new = object.__new__
-    set_op, set_rd, set_rs1, set_rs2, set_imm, set_target = _SETTERS
+    set_op, set_rd, set_rs1, set_rs2, set_imm, set_target = SLOT_SETTERS
     plans = _PLANS
     insns: List[Instruction] = []
     append = insns.append

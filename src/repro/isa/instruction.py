@@ -197,3 +197,9 @@ class Instruction:
 
     def __str__(self) -> str:  # pragma: no cover - convenience only
         return self.render()
+
+
+#: slot setters in field order: decoders build instructions with these
+#: instead of the validating constructor and make its checks themselves
+SLOT_SETTERS = tuple(Instruction.__dict__[name].__set__
+                     for name in ("op", "rd", "rs1", "rs2", "imm", "target"))

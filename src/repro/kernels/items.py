@@ -150,28 +150,3 @@ def try_decode_planes(blob: bytes,
     return ItemPlanes(indices=indices.tolist(), kinds=kinds.tolist(),
                       values=values.tolist(), lengths=lengths.tolist(),
                       starts=starts.tolist())
-
-
-def try_resolve_targets(planes: ItemPlanes) -> Optional[list]:
-    """Branch targets in instruction units, vectorized.
-
-    Returns a list aligned with the items — instruction index for branch
-    items, ``None`` elsewhere — or ``None`` when any displacement leaves
-    the function (the scalar resolver raises the documented error).
-    """
-    count = planes.count
-    if count == 0:
-        return []
-    kinds = _np.asarray(planes.kinds, dtype=_np.int64)
-    branches = kinds == KIND_BRANCH
-    if not branches.any():
-        return [None] * count
-    values = _np.asarray(planes.values, dtype=_np.int64)
-    target_items = _np.arange(count, dtype=_np.int64) + 1 + values
-    bad = branches & ((target_items < 0) | (target_items >= count))
-    if bad.any():
-        return None
-    starts = _np.asarray(planes.starts, dtype=_np.int64)
-    resolved = starts[_np.where(branches, target_items, 0)].tolist()
-    return [target if is_branch else None
-            for target, is_branch in zip(resolved, branches.tolist())]
