@@ -39,7 +39,7 @@ def main() -> None:
 
     items = translator.items_of(0)
     leaders = translator.block_leaders(0)
-    print(f"function 'main': {len(items)} SSD items, "
+    print(f"function 'main': {items.count} SSD items, "
           f"{len(leaders)} basic blocks (leaders at items {leaders})\n")
 
     total = 0

@@ -116,9 +116,9 @@ def measure_overhead(program: Program,
     translator = Translator(reader, tables)
     translation_cycles = 0.0
     for findex in executed_functions:
-        items = reader.decoded_items(findex)
+        items = reader.item_planes(findex).count
         produced = translator.translate_function(findex).size
-        translation_cycles += costs.translate_cycles(produced, len(items))
+        translation_cycles += costs.translate_cycles(produced, items)
         if hybrid:
             from ..jit.costs import HYBRID_OPT_CYCLES_PER_BYTE
 

@@ -68,7 +68,7 @@ class CodecReader(Protocol):
     @property
     def supports_block_decode(self) -> bool:
         """True when the reader decodes at basic-block granularity
-        (``decoded_items``/copy-phase surface), letting the JIT translate
+        (``item_planes``/copy-phase surface), letting the JIT translate
         without materializing whole functions."""
         ...
 

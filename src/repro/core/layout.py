@@ -59,10 +59,14 @@ class SegmentLayout:
       base-id tuple -> 16-bit dictionary index;
     * ``table`` — decompressor side only: the decode table,
       ``table[index]`` being the :data:`Expansion` of dictionary index
-      ``index``.
+      ``index``;
+    * ``common`` — the common region every segment shares: its base count
+      (addressing ids ``[0, cb)``) and its index count (bases plus
+      sequence nodes, indices ``[0, cb+cs)``).
     """
 
     addr_bases: List[BaseEntry]
+    common: Tuple[int, int] = (0, 0)
     info_of: Dict[int, EntryInfo] = field(default_factory=dict)
     paths_of: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     index_of: Dict[Tuple[int, ...], int] = field(default_factory=dict)
@@ -165,12 +169,13 @@ def _region(columns: _Columns, first_addr: int, base_count: int,
     return infos, paths, expansions
 
 
-def _segment_layout(bases: List[BaseEntry], common: _Region,
+def _segment_layout(bases: List[BaseEntry], cb: int, common: _Region,
                     local: _Region) -> SegmentLayout:
     """One segment's layout.  Index order: common bases ``[0, cb)``,
     common nodes ``[cb, cb+cs)``, then this segment's bases and nodes."""
     infos, paths, expansions = map(_join, common, local)
-    return SegmentLayout(addr_bases=bases, info_of=dict(enumerate(infos)),
+    return SegmentLayout(addr_bases=bases, common=(cb, len(common[1])),
+                         info_of=dict(enumerate(infos)),
                          paths_of=dict(enumerate(paths)),
                          table=tuple(expansions or ()))
 
@@ -224,7 +229,8 @@ def build_layouts(dictionary: SSDDictionary, plan: PartitionPlan,
 
         columns = tuple(map(_join, common_columns,
                             _base_columns(ordered_local, table=False)))
-        layout = _segment_layout(ordered_common + ordered_local, common_region,
+        layout = _segment_layout(ordered_common + ordered_local, cb,
+                                 common_region,
                                  _region(columns, cb, lb, local_ranks))
 
         # Compressor-side reference map (provisional ids -> final index).
@@ -291,6 +297,7 @@ def layouts_from_sections(common_base_blob: bytes, common_tree_blob: bytes,
                      f"segment {sindex}")
         columns = tuple(map(_join, common_columns,
                             _base_columns(local_bases, table=True)))
-        layouts.append(_segment_layout(common_bases + local_bases, common_region,
+        layouts.append(_segment_layout(common_bases + local_bases, cb,
+                                       common_region,
                                        _region(columns, cb, lb, local_ranks)))
     return layouts

@@ -97,5 +97,5 @@ class ExperimentContext:
     def item_counts(self, name: str) -> List[int]:
         """SSD items per function (for copy-phase cost accounting)."""
         reader = self.reader(name)
-        return [len(reader.decoded_items(findex))
+        return [reader.item_planes(findex).count
                 for findex in range(reader.function_count)]

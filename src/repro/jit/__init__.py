@@ -25,12 +25,8 @@ from .costs import (
     mb_per_second,
     seconds,
 )
-from .block_translator import (
-    BlockTranslator,
-    ExternalBranch,
-    TranslatedFragment,
-    copy_translate_range,
-)
+from ..core.copy_phase import ExternalBranch, TranslatedFragment, copy_translate_range
+from .block_translator import BlockTranslator
 from .fallback import FallbackTranslator
 from .instruction_table import InstructionTables, build_table_for_layout, build_tables
 from .resilience import QuarantineRecord, ResilientRuntime, run_lazy

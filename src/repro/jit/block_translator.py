@@ -7,8 +7,9 @@ exactly that reason — the Omniware VM picked whole functions, but an
 interpreter may materialize one block at a time.
 
 :class:`BlockTranslator` translates any contiguous *item range* of a
-function.  Ranges align naturally with basic blocks because dictionary
-entries never span blocks: every block leader starts an item.  Branch
+function with :func:`~repro.core.copy_phase.copy_translate_range`.
+Ranges align naturally with basic blocks because dictionary entries
+never span blocks: every block leader starts an item.  Branch
 targets inside the range are patched as usual; branches that leave the
 range are reported as :class:`ExternalBranch` fix-ups for the driver
 (which knows where — or whether — the target block was materialized),
@@ -17,110 +18,17 @@ mirroring how a block-at-a-time interpreter chains translated fragments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.copy_phase import CallRelocation, CopyPhaseError, TableEntry, _patch
+from ..core.copy_phase import (
+    CopyPhaseError,
+    TranslatedFragment,
+    copy_translate_range,
+    lookup,
+)
 from ..core.decompressor import SSDReader
-from ..core.items import DecodedItem
+from ..kernels import KIND_BRANCH, KIND_CALL, ItemPlanes
 from .instruction_table import InstructionTables, build_tables
-
-
-@dataclass(frozen=True)
-class ExternalBranch:
-    """A branch hole whose target item lies outside the translated range.
-
-    ``hole_offset``/``hole_size`` locate the hole within the fragment;
-    ``target_item`` is the function-relative item index the branch wants.
-    The driver patches it once the target fragment has an address.
-    """
-
-    hole_offset: int
-    hole_size: int
-    target_item: int
-
-
-@dataclass
-class TranslatedFragment:
-    """Copy-phase output for one item range."""
-
-    start_item: int
-    end_item: int
-    code: bytearray
-    item_offsets: List[int] = field(default_factory=list)
-    call_relocations: List[CallRelocation] = field(default_factory=list)
-    external_branches: List[ExternalBranch] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.code)
-
-
-def copy_translate_range(items: Sequence[DecodedItem],
-                         table: Dict[int, TableEntry],
-                         start_item: int, end_item: int) -> TranslatedFragment:
-    """Algorithm 3 over ``items[start_item:end_item]``.
-
-    In-range branches are fully patched (backward immediately, forward in
-    the final fix-up step); out-of-range branches become
-    :class:`ExternalBranch` records.
-    """
-    if not 0 <= start_item <= end_item <= len(items):
-        raise CopyPhaseError(
-            f"bad item range [{start_item}, {end_item}) of {len(items)} items")
-    code = bytearray()
-    item_offsets: List[int] = []
-    relocations: List[CallRelocation] = []
-    externals: List[ExternalBranch] = []
-    pending: List[Tuple[int, int, int]] = []  # (hole, size, target item)
-
-    for item_index in range(start_item, end_item):
-        item = items[item_index]
-        entry = table.get(item.dict_index)
-        if entry is None:
-            raise CopyPhaseError(f"no instruction-table entry for index {item.dict_index}")
-        item_offsets.append(len(code))
-        start = len(code)
-        code += entry.data
-        if item.branch_displacement is not None:
-            if not entry.has_hole or entry.is_call:
-                raise CopyPhaseError(
-                    f"item {item_index} supplies a branch target but entry "
-                    f"{item.dict_index} has no branch hole")
-            target_item = item_index + 1 + item.branch_displacement
-            if not 0 <= target_item < len(items):
-                raise CopyPhaseError(
-                    f"item {item_index}: branch target item {target_item} "
-                    f"out of range")
-            hole_at = start + entry.hole_offset
-            if not start_item <= target_item < end_item:
-                externals.append(ExternalBranch(hole_offset=hole_at,
-                                                hole_size=entry.hole_size,
-                                                target_item=target_item))
-            elif target_item <= item_index:
-                _patch(code, hole_at, entry.hole_size,
-                       item_offsets[target_item - start_item]
-                       - (hole_at + entry.hole_size))
-            else:
-                pending.append((hole_at, entry.hole_size, target_item))
-        elif item.call_target is not None:
-            if not entry.has_hole or not entry.is_call:
-                raise CopyPhaseError(
-                    f"item {item_index} supplies a call target but entry "
-                    f"{item.dict_index} has no call hole")
-            relocations.append(CallRelocation(
-                hole_offset=start + entry.hole_offset,
-                hole_size=entry.hole_size,
-                callee=item.call_target))
-
-    for hole_at, hole_size, target_item in pending:
-        _patch(code, hole_at, hole_size,
-               item_offsets[target_item - start_item] - (hole_at + hole_size))
-
-    return TranslatedFragment(start_item=start_item, end_item=end_item,
-                              code=code, item_offsets=item_offsets,
-                              call_relocations=relocations,
-                              external_branches=externals)
 
 
 class BlockTranslator:
@@ -137,41 +45,43 @@ class BlockTranslator:
                  tables: Optional[InstructionTables] = None) -> None:
         self.reader = reader
         self.tables = tables if tables is not None else build_tables(reader)
-        self._items: Dict[int, List[DecodedItem]] = {}
+        self._items: Dict[int, ItemPlanes] = {}
         self._leaders: Dict[int, List[int]] = {}
         self._fragments: Dict[Tuple[int, int], TranslatedFragment] = {}
 
-    def items_of(self, findex: int) -> List[DecodedItem]:
+    def items_of(self, findex: int) -> ItemPlanes:
+        """The function's items, as split planes (decoded once)."""
         if findex not in self._items:
-            self._items[findex] = self.reader.decoded_items(findex)
+            self._items[findex] = self.reader.item_planes(findex)
         return self._items[findex]
 
     def block_leaders(self, findex: int) -> List[int]:
         """Item indices that begin basic blocks, in order."""
         if findex not in self._leaders:
-            items = self.items_of(findex)
+            planes = self.items_of(findex)
             table = self.tables.for_function(self.reader, findex)
-            leaders = {0} if items else set()
-            for item_index, item in enumerate(items):
-                if item.branch_displacement is not None:
-                    leaders.add(item_index + 1 + item.branch_displacement)
-                entry = table[item.dict_index]
-                ends_block = entry.has_hole or item.call_target is not None
-                if ends_block and item_index + 1 < len(items):
+            count = planes.count
+            leaders = {0} if count else set()
+            for item_index, (index, kind, value) in enumerate(
+                    zip(planes.indices, planes.kinds, planes.values)):
+                if kind == KIND_BRANCH:
+                    leaders.add(item_index + 1 + value)
+                ends_block = lookup(table, index).has_hole or kind == KIND_CALL
+                if ends_block and item_index + 1 < count:
                     leaders.add(item_index + 1)
             self._leaders[findex] = sorted(leaders)
         return self._leaders[findex]
 
     def block_range(self, findex: int, item_index: int) -> Tuple[int, int]:
         """The [start, end) item range of the block containing ``item_index``."""
-        items = self.items_of(findex)
-        if not 0 <= item_index < len(items):
+        count = self.items_of(findex).count
+        if not 0 <= item_index < count:
             raise CopyPhaseError(
-                f"item {item_index} out of range ({len(items)} items)")
+                f"item {item_index} out of range ({count} items)")
         leaders = self.block_leaders(findex)
         start = max(leader for leader in leaders if leader <= item_index)
         later = [leader for leader in leaders if leader > item_index]
-        end = later[0] if later else len(items)
+        end = later[0] if later else count
         return start, end
 
     def translate_block(self, findex: int, item_index: int) -> TranslatedFragment:

@@ -6,6 +6,14 @@ tagged native byte sequence.  The tag carries the sequence length and, for
 entries ending in a control transfer, where the target hole sits — exactly
 what Algorithm 3 needs so that phase two is a block copy plus a patch.
 
+The table is built in one pass over a :class:`SegmentLayout`: each base is
+lowered once into a one-entry row (its native bytes and hole tag), and each
+index's row is its base's row or, for a sequence, the join of its bases'
+bytes tagged by its last base.  A segment's table is a tuple indexed by
+dictionary index.  The common region (indices ``[0, cb+cs)``) is the same
+in every segment, so it is built once per container and its rows are
+shared by every segment's table.
+
 Conversion is per-instruction (the paper: "translation of individual
 instructions, rather than optimizing compilation"), i.e. the *unoptimized*
 native lowering — which is why JIT-translated code is slower than the
@@ -17,12 +25,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List
+from itertools import islice
+from typing import Sequence, Tuple
 
 from ..core.copy_phase import TableEntry
 from ..core.decompressor import SSDReader
 from ..core.layout import SegmentLayout
 from ..errors import CorruptContainer, ReproError
+from ..isa import info
 from ..obs import REGISTRY, TRACER
 from ..vm.native import lower_instruction
 
@@ -30,56 +40,72 @@ _BUILD_TABLES = REGISTRY.counter(
     "jit_build_tables_total",
     "Phase-one instruction-table builds, by memo outcome (cache=hit|miss).")
 
+#: one segment's instruction table, indexed by dictionary index
+Table = Tuple[TableEntry, ...]
 
-def build_table_for_layout(layout: SegmentLayout) -> Dict[int, TableEntry]:
+
+def build_table_for_layout(layout: SegmentLayout,
+                           shared: Sequence[TableEntry] = ()) -> Table:
     """Build one segment's instruction table from its layout.
+
+    ``shared`` is the table of another segment of the same container;
+    when given, this table reuses its common-region rows instead of
+    building them again.
 
     Dictionary entries come from untrusted container bytes, so lowering
     failures (a decoded entry whose fields no native encoding can hold)
     surface as :class:`~repro.errors.CorruptContainer`, not as internal
     exceptions.
     """
-    base_chunks = []
-    for addr, base in enumerate(layout.addr_bases):
-        target_size = base.target_size if base.has_target else None
+    first_addr, first_index = layout.common if shared else (0, 0)
+    rows = list(shared[:first_addr])  # by addressing id: the base's own row
+    for addr in range(first_addr, len(layout.addr_bases)):
+        base = layout.addr_bases[addr]
+        insn = base.instruction
+        meta = info(insn.op)
+        transfer = meta.is_branch or meta.is_call
         try:
-            base_chunks.append(lower_instruction(base.instruction, target_size))
+            chunk = lower_instruction(insn, base.target_size if transfer else None)
         except ReproError:
             raise
         except (ValueError, OverflowError, KeyError) as exc:
             raise CorruptContainer(
                 f"dictionary entry {addr} fails native lowering: {exc}") from exc
-
-    table: Dict[int, TableEntry] = {}
-    for index, path in layout.paths_of.items():
-        chunks = [base_chunks[addr] for addr in path]
-        data = b"".join(chunk.data for chunk in chunks)
-        last_base = layout.addr_bases[path[-1]]
-        last = chunks[-1]
-        if last_base.has_target and not last_base.target_in_entry:
-            hole_offset = len(data) - last.size + last.hole_offset
-            table[index] = TableEntry(data=data,
-                                      hole_offset=hole_offset,
-                                      hole_size=last.hole_size,
-                                      is_call=last.is_call)
+        if transfer and base.stored_target is None:
+            rows.append(TableEntry(chunk.data, chunk.hole_offset,
+                                   chunk.hole_size, chunk.is_call))
         else:
-            table[index] = TableEntry(data=data)
-    return table
+            rows.append(TableEntry(chunk.data))
+
+    table = list(shared[:first_index])
+    append = table.append
+    for path in islice(layout.paths_of.values(), first_index, None):
+        last = rows[path[-1]]
+        if len(path) == 1:
+            append(last)
+            continue
+        # A hole sits at the end of its base's bytes, so it keeps its
+        # distance from the end of the joined sequence.
+        data = b"".join([rows[addr].data for addr in path])
+        hole_size = last.hole_size
+        append(TableEntry(data, len(data) - hole_size, hole_size, last.is_call)
+               if hole_size else TableEntry(data))
+    return tuple(table)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstructionTables:
     """Instruction tables for every segment of a compressed program."""
 
-    tables: List[Dict[int, TableEntry]]
+    tables: Tuple[Table, ...]
 
-    def for_function(self, reader: SSDReader, findex: int) -> Dict[int, TableEntry]:
+    def for_function(self, reader: SSDReader, findex: int) -> Table:
         return self.tables[reader.segment_of_function[findex]]
 
     @property
     def total_bytes(self) -> int:
         """Native bytes held by all tables (the dictionary's RAM cost)."""
-        return sum(entry.size for table in self.tables for entry in table.values())
+        return sum(entry.size for table in self.tables for entry in table)
 
 
 #: LRU memo of instruction tables keyed by container hash.  The paper notes
@@ -111,8 +137,10 @@ def build_tables(reader: SSDReader, use_cache: bool = True) -> InstructionTables
                 return cached
     _BUILD_TABLES.inc(cache="miss")
     with TRACER.span("jit.build_tables", segments=len(reader.layouts)):
-        tables = InstructionTables(tables=[build_table_for_layout(layout)
-                                           for layout in reader.layouts])
+        built = []
+        for layout in reader.layouts:
+            built.append(build_table_for_layout(layout, built[0] if built else ()))
+        tables = InstructionTables(tables=tuple(built))
     if key is not None:
         with _TABLE_CACHE_LOCK:
             _TABLE_CACHE[key] = tables

@@ -26,7 +26,7 @@ relative shape, not the absolute values, is what the experiments use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..isa import Function, Instruction, Kind, Op, info
 from ..isa.instruction import immediate_size_class
@@ -36,8 +36,7 @@ from .peephole import FusionPlan, plan_function, rewritten_consumer
 CALL_HOLE_SIZE = 4
 
 
-@dataclass(frozen=True)
-class NativeChunk:
+class NativeChunk(NamedTuple):
     """Native code for one VM instruction (or one fused pair).
 
     ``data`` contains the instruction bytes with any target hole zeroed.
@@ -78,10 +77,9 @@ def _imm_bytes(value: int) -> bytearray:
     return bytearray(unsigned.to_bytes(size, "little"))
 
 
-_ALU_CYCLES = {
-    Op.MUL: 3.0, Op.MULI: 3.0,
-    Op.DIVS: 20.0, Op.REMS: 20.0,
-}
+#: keyed by opcode code (an int hashes faster than an enum member)
+_ALU_CYCLES = {info(op).code: cycles for op, cycles in (
+    (Op.MUL, 3.0), (Op.MULI, 3.0), (Op.DIVS, 20.0), (Op.REMS, 20.0))}
 
 
 def lower_instruction(insn: Instruction, target_size: Optional[int] = None) -> NativeChunk:
@@ -95,7 +93,7 @@ def lower_instruction(insn: Instruction, target_size: Optional[int] = None) -> N
     op = insn.op
 
     if kind is Kind.ALU_RR:
-        cycles = _ALU_CYCLES.get(op, 1.0)
+        cycles = _ALU_CYCLES.get(meta.code, 1.0)
         if op in (Op.SLT, Op.SLTU):
             # cmp r,r ; setcc r8 ; movzx — the expensive unfused compare.
             data = _fill(0x39, 0xC0 | insn.rs1, 0x0F, 0x90 | insn.rd, 0xC0)
@@ -109,7 +107,7 @@ def lower_instruction(insn: Instruction, target_size: Optional[int] = None) -> N
         return NativeChunk(bytes(data), cycles=cycles + 1.0)
 
     if kind is Kind.ALU_RI:
-        cycles = _ALU_CYCLES.get(op, 1.0)
+        cycles = _ALU_CYCLES.get(meta.code, 1.0)
         if op is Op.SLTI:
             data = _fill(0x83, 0xF8 | insn.rs1) + _imm_bytes(insn.imm)
             data += _fill(0x0F, 0x90 | insn.rd, 0xC0)

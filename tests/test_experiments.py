@@ -94,6 +94,21 @@ class TestThroughput:
         out = throughput.run(context, name="compress")
         assert "copy phase" in out
 
+    def test_dictionary_phase_times_a_table_build(self, context):
+        # An earlier exhibit may have memoized this container's tables
+        # (table5's overhead pass does); the dictionary-phase row must
+        # still time a build, not a memo hit.
+        from repro.core import open_container
+        from repro.jit import build_tables
+        from repro.obs import REGISTRY
+
+        build_tables(open_container(context.ssd("compress").data))
+        builds = REGISTRY.get("jit_build_tables_total")
+        misses, hits = builds.value(cache="miss"), builds.value(cache="hit")
+        throughput.measure(context, name="compress")
+        assert builds.value(cache="miss") == misses + 1
+        assert builds.value(cache="hit") == hits
+
 
 class TestAblations:
     def test_branch_target_ablation(self, context):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import CopyPhaseError, compress, open_container
-from repro.core.copy_phase import copy_translate
+from repro.core.copy_phase import copy_translate_planes, copy_translate_range
 from repro.isa import assemble
-from repro.jit.block_translator import BlockTranslator, copy_translate_range
+from repro.jit.block_translator import BlockTranslator
+from repro.kernels import KIND_BRANCH
 
 SOURCE = """
 func main
@@ -38,20 +39,21 @@ class TestBlockLeaders:
         assert translator.block_leaders(0)[0] == 0
 
     def test_branch_targets_are_leaders(self, translator):
-        items = translator.items_of(0)
+        planes = translator.items_of(0)
         leaders = set(translator.block_leaders(0))
-        for item_index, item in enumerate(items):
-            if item.branch_displacement is not None:
-                assert item_index + 1 + item.branch_displacement in leaders
+        for item_index, (kind, value) in enumerate(zip(planes.kinds,
+                                                       planes.values)):
+            if kind == KIND_BRANCH:
+                assert item_index + 1 + value in leaders
 
     def test_blocks_partition_items(self, translator):
         leaders = translator.block_leaders(0)
-        items = translator.items_of(0)
+        count = translator.items_of(0).count
         covered = []
         for position, leader in enumerate(leaders):
-            end = leaders[position + 1] if position + 1 < len(leaders) else len(items)
+            end = leaders[position + 1] if position + 1 < len(leaders) else count
             covered.extend(range(leader, end))
-        assert covered == list(range(len(items)))
+        assert covered == list(range(count))
 
 
 class TestRangeTranslation:
@@ -59,9 +61,9 @@ class TestRangeTranslation:
         # Translating every block and concatenating must produce the same
         # bytes as whole-function translation (external holes aside: the
         # monolithic path patches them, the fragments report them).
-        items = translator.items_of(0)
+        planes = translator.items_of(0)
         table = translator.tables.for_function(translator.reader, 0)
-        whole = copy_translate(items, table)
+        whole = copy_translate_planes(planes, table)
         fragments = translator.translate_whole_function(0)
         stitched = bytearray()
         for fragment in fragments:
@@ -90,9 +92,9 @@ class TestRangeTranslation:
         # The backward loop branch stays within its block range only if
         # its target is in range; translate the whole function as one
         # range and check there are no externals.
-        items = translator.items_of(0)
+        planes = translator.items_of(0)
         table = translator.tables.for_function(translator.reader, 0)
-        fragment = copy_translate_range(items, table, 0, len(items))
+        fragment = copy_translate_range(planes, table, 0, planes.count)
         assert fragment.external_branches == []
 
     def test_call_relocations_surface(self, translator):
@@ -101,10 +103,10 @@ class TestRangeTranslation:
         assert callees == [1]
 
     def test_bad_range_rejected(self, translator):
-        items = translator.items_of(0)
+        planes = translator.items_of(0)
         table = translator.tables.for_function(translator.reader, 0)
         with pytest.raises(CopyPhaseError, match="bad item range"):
-            copy_translate_range(items, table, 3, 1)
+            copy_translate_range(planes, table, 3, 1)
 
     def test_fragments_cached(self, translator):
         first = translator.translate_block(0, 0)
@@ -113,8 +115,7 @@ class TestRangeTranslation:
         assert translator.blocks_translated >= 1
 
     def test_block_range_covers_item(self, translator):
-        items = translator.items_of(0)
-        for item_index in range(len(items)):
+        for item_index in range(translator.items_of(0).count):
             start, end = translator.block_range(0, item_index)
             assert start <= item_index < end
 
