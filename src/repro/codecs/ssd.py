@@ -33,7 +33,7 @@ class SsdCodec(Codec):
 
         ``options`` pass straight through to
         :func:`repro.core.compressor.compress` (``codec`` — the
-        base-entry codec ``lz``/``delta`` — ``max_len``, ``jobs``, …).
+        base-entry codec ``lz``/``delta`` — ``max_len``, ``match_mode``, …).
         """
         return core_compress(program, **options)
 

@@ -17,16 +17,14 @@ of pc-relative in the item stream); SSD proper uses ``"relative"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..isa import Program
 from ..obs import REGISTRY, TRACER
-from ..perf.parallel import fanout, get_shared, resolve_jobs
 from ..perf.profile import PhaseProfile, ensure
 from . import container, hints
 from .dictionary import (
     MAX_SEQUENCE_LENGTH,
-    EntryRef,
     SSDDictionary,
     build_dictionary,
     dictionary_statistics,
@@ -69,36 +67,14 @@ class CompressedProgram:
         return dict(self.section_sizes)
 
 
-def _encode_items_chunk(tasks: List[Tuple[int, List[EntryRef]]]) -> List[bytes]:
-    """Fan-out worker: encode item streams for a chunk of functions."""
-    layouts, segment_of_function = get_shared()
+def _encode_item_streams(dictionary: SSDDictionary, plan,
+                         layouts) -> List[bytes]:
+    """Per-function item encoding (Algorithm 2)."""
     streams: List[bytes] = []
-    for findex, refs in tasks:
+    segment_of_function = plan.segment_of_function
+    for findex, refs in enumerate(dictionary.function_refs):
         layout = layouts[segment_of_function[findex]]
         streams.append(encode_items(refs, layout.index_of, layout.info_of))
-    return streams
-
-
-def _encode_item_streams(dictionary: SSDDictionary, plan, layouts,
-                         jobs: int) -> List[bytes]:
-    """Per-function item encoding, serially or over worker processes."""
-    workers = resolve_jobs(jobs)
-    if workers <= 1 or len(dictionary.function_refs) < 2:
-        streams: List[bytes] = []
-        segment_of_function = plan.segment_of_function
-        for findex, refs in enumerate(dictionary.function_refs):
-            layout = layouts[segment_of_function[findex]]
-            streams.append(encode_items(refs, layout.index_of, layout.info_of))
-        return streams
-    tasks = list(enumerate(dictionary.function_refs))
-    chunk_size = max(1, len(tasks) // (workers * 4))
-    chunks = [tasks[start:start + chunk_size]
-              for start in range(0, len(tasks), chunk_size)]
-    results = fanout(_encode_items_chunk, chunks, workers,
-                     shared=(layouts, plan.segment_of_function), chunksize=1)
-    streams = []
-    for chunk_result in results:
-        streams.extend(chunk_result)
     return streams
 
 
@@ -108,7 +84,6 @@ def compress(program: Program,
              common_budget: int = DEFAULT_COMMON_BUDGET,
              branch_targets: str = "relative",
              match_mode: str = "greedy",
-             jobs: int = 1,
              profile: Optional[PhaseProfile] = None,
              layout_plan: Optional[hints.LayoutPlanLike] = None) -> CompressedProgram:
     """Compress ``program`` into an SSD container.
@@ -130,12 +105,6 @@ def compress(program: Program,
     match_mode:
         ``"greedy"`` (the paper's Algorithm 1) or ``"optimal"`` (an
         item-byte-minimizing dynamic program; see ``build_dictionary``).
-    jobs:
-        Worker processes for the parallelizable stages (n-gram counting,
-        segmentation, item encoding).  ``1`` (default) is fully serial,
-        ``0`` means one worker per core.  The container bytes are
-        **byte-identical** whatever ``jobs`` is — parallelism only changes
-        wall-clock time, never output.
     profile:
         Optional :class:`repro.perf.PhaseProfile`; receives wall-clock
         timings for every pipeline phase (``dictionary.*``, ``partition``,
@@ -153,7 +122,7 @@ def compress(program: Program,
     with TRACER.span("compress", program=program.name):
         dictionary = build_dictionary(program, max_len=max_len,
                                       absolute_targets=branch_targets == "absolute",
-                                      match_mode=match_mode, jobs=jobs,
+                                      match_mode=match_mode,
                                       profile=profile)
         with prof.phase("partition"):
             plan = plan_partition(dictionary, common_budget=common_budget)
@@ -162,7 +131,7 @@ def compress(program: Program,
                 dictionary, plan, codec=codec)
 
         with prof.phase("items"):
-            item_streams = _encode_item_streams(dictionary, plan, layouts, jobs)
+            item_streams = _encode_item_streams(dictionary, plan, layouts)
 
         with prof.phase("serialize"):
             sections = container.ContainerSections(

@@ -30,13 +30,6 @@ tables go further and pack each window of ids into a *single* integer
 allocates no per-window tuples at all.  At word97 scale (1.4M
 instructions) this keeps the n-gram tables hundreds of megabytes smaller
 than tuples-of-keys would, and roughly halves counting time.
-
-Construction is parallelizable: ``build_dictionary(..., jobs=n)`` fans the
-n-gram counting (mergeable partial counts) and the per-function
-segmentation out over worker processes via :mod:`repro.perf.parallel`.
-The parallel result is byte-identical to the serial one: partial counts
-merge to the same table, and segmentation is a pure per-function function
-of that table.
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa import Instruction, Program, basic_blocks
 from ..isa.opcodes import OP_TABLE
-from ..perf.parallel import fanout, get_shared, resolve_jobs
 from ..perf.profile import PhaseProfile, ensure
 
 #: Maximum sequence-entry length (the paper's L <= 4).
@@ -160,7 +152,6 @@ def build_dictionary(program: Program,
                      max_len: int = MAX_SEQUENCE_LENGTH,
                      absolute_targets: bool = False,
                      match_mode: str = "greedy",
-                     jobs: int = 1,
                      profile: Optional[PhaseProfile] = None) -> SSDDictionary:
     """Run Algorithm 1 over ``program``.
 
@@ -182,11 +173,8 @@ def build_dictionary(program: Program,
       lower bound on what non-greedy matching could buy; the ablation
       experiment measures the actual end-to-end difference.
 
-    ``jobs`` fans n-gram counting and segmentation out over worker
-    processes (0 = one per core, see
-    :func:`repro.perf.parallel.resolve_jobs`); the result is byte-identical
-    to ``jobs=1``.  ``profile`` (a :class:`repro.perf.PhaseProfile`)
-    receives per-phase timings when supplied.
+    ``profile`` (a :class:`repro.perf.PhaseProfile`) receives per-phase
+    timings when supplied.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -196,8 +184,7 @@ def build_dictionary(program: Program,
     result = SSDDictionary()
 
     # Pass 0 (step 1): base entries + per-function id lists + block limits.
-    # Interning assigns ids in first-seen program order, so this pass is
-    # inherently serial.
+    # Interning assigns ids in first-seen program order.
     id_lists: List[List[int]] = []
     block_ends: List[List[int]] = []
     with prof.phase("dictionary.base_entries"):
@@ -239,7 +226,7 @@ def build_dictionary(program: Program,
 
     # Pass 1: n-gram occurrence counts (the "occurs at least twice" oracle).
     with prof.phase("dictionary.ngrams"):
-        ngram_counts = _ngram_counts(id_lists, max_len, key_bits, jobs)
+        ngram_counts = _count_ngrams(id_lists, max_len, key_bits)
 
     # Pass 2a (step 3.a): segment every function against the counts.
     with prof.phase("dictionary.segmentation"):
@@ -253,7 +240,7 @@ def build_dictionary(program: Program,
             item_costs = None
         all_lengths = _segment_functions(id_lists, block_ends, ngram_counts,
                                          max_len, key_bits, marks, match_mode,
-                                         item_costs, jobs)
+                                         item_costs)
 
     # Pass 2b (steps 2-3): rewrite each function as dictionary references.
     with prof.phase("dictionary.rewrite"):
@@ -285,7 +272,7 @@ def build_dictionary(program: Program,
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: packed n-gram counting (serial kernel + parallel fan-out).
+# Pass 1: packed n-gram counting.
 
 def _count_ngrams(id_lists: Sequence[List[int]], max_len: int,
                   key_bits: int) -> Dict[int, int]:
@@ -311,59 +298,8 @@ def _count_ngrams(id_lists: Sequence[List[int]], max_len: int,
     return counts
 
 
-def _count_chunk(id_lists: List[List[int]]) -> Dict[int, int]:
-    """Fan-out worker: partial counts for one chunk of functions."""
-    max_len, key_bits = get_shared()
-    return _count_ngrams(id_lists, max_len, key_bits)
-
-
-def _split_by_weight(items: List, parts: int) -> List[List]:
-    """Split ``items`` into up to ``parts`` contiguous, similar-weight chunks.
-
-    Weight is ``len(item[0])`` for tuple items (the segmentation tasks) and
-    ``len(item)`` otherwise (the id lists) — instruction counts both ways.
-    """
-    def weight_of(item) -> int:
-        return len(item[0]) if isinstance(item, tuple) else len(item)
-
-    total = sum(weight_of(item) for item in items)
-    target = max(1, total // parts)
-    chunks: List[List] = []
-    current: List = []
-    weight = 0
-    for item in items:
-        current.append(item)
-        weight += weight_of(item)
-        if weight >= target and len(chunks) < parts - 1:
-            chunks.append(current)
-            current = []
-            weight = 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _ngram_counts(id_lists: List[List[int]], max_len: int, key_bits: int,
-                  jobs: int) -> Dict[int, int]:
-    """Global n-gram table, optionally merged from per-chunk partial counts."""
-    if max_len < 2:
-        return {}
-    workers = resolve_jobs(jobs)
-    if workers <= 1 or len(id_lists) < 2:
-        return _count_ngrams(id_lists, max_len, key_bits)
-    chunks = _split_by_weight(id_lists, workers)
-    parts = fanout(_count_chunk, chunks, workers, shared=(max_len, key_bits),
-                   chunksize=1)
-    merged = parts[0]
-    for part in parts[1:]:
-        get = merged.get
-        for key, value in part.items():
-            merged[key] = get(key, 0) + value
-    return merged
-
-
 # ---------------------------------------------------------------------------
-# Pass 2a: per-function segmentation (serial kernels + parallel fan-out).
+# Pass 2a: per-function segmentation.
 
 def _greedy_segmentation(ids: List[int], ends: List[int],
                          ngram_counts: Dict[int, int], max_len: int,
@@ -446,42 +382,18 @@ def _optimal_segmentation(ids: List[int], ends: List[int],
     return lengths
 
 
-def _segment_chunk(tasks: List[Tuple[List[int], List[int]]]) -> List[List[int]]:
-    """Fan-out worker: segment one chunk of ``(ids, block_ends)`` functions."""
-    mode, ngram_counts, max_len, key_bits, marks, item_costs = get_shared()
-    if mode == "greedy":
-        return [_greedy_segmentation(ids, ends, ngram_counts, max_len,
-                                     key_bits, marks)
-                for ids, ends in tasks]
-    return [_optimal_segmentation(ids, ends, ngram_counts, max_len,
-                                  key_bits, marks, item_costs)
-            for ids, ends in tasks]
-
-
 def _segment_functions(id_lists: List[List[int]], block_ends: List[List[int]],
                        ngram_counts: Dict[int, int], max_len: int,
                        key_bits: int, marks: List[int], match_mode: str,
-                       item_costs: Optional[List[float]],
-                       jobs: int) -> List[List[int]]:
-    """Segment every function, serially or over worker processes."""
-    workers = resolve_jobs(jobs)
-    if workers <= 1 or len(id_lists) < 2:
-        if match_mode == "greedy":
-            return [_greedy_segmentation(ids, ends, ngram_counts, max_len,
-                                         key_bits, marks)
-                    for ids, ends in zip(id_lists, block_ends)]
-        return [_optimal_segmentation(ids, ends, ngram_counts, max_len,
-                                      key_bits, marks, item_costs)
+                       item_costs: Optional[List[float]]) -> List[List[int]]:
+    """Segment every function against the n-gram counts."""
+    if match_mode == "greedy":
+        return [_greedy_segmentation(ids, ends, ngram_counts, max_len,
+                                     key_bits, marks)
                 for ids, ends in zip(id_lists, block_ends)]
-    tasks = list(zip(id_lists, block_ends))
-    chunks = _split_by_weight(tasks, workers)
-    shared = (match_mode, ngram_counts, max_len, key_bits, marks, item_costs)
-    results = fanout(_segment_chunk, chunks, workers, shared=shared,
-                     chunksize=1)
-    merged: List[List[int]] = []
-    for chunk_result in results:
-        merged.extend(chunk_result)
-    return merged
+    return [_optimal_segmentation(ids, ends, ngram_counts, max_len,
+                                  key_bits, marks, item_costs)
+            for ids, ends in zip(id_lists, block_ends)]
 
 
 def dictionary_statistics(dictionary: SSDDictionary) -> Dict[str, float]:

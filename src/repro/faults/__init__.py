@@ -10,9 +10,8 @@ The robustness layer's attack harness.  Three pieces:
 * :mod:`repro.faults.harness` — sweep driver: generate N corruptions,
   attempt decode, classify every outcome against the ``repro.errors``
   taxonomy (anything else is a finding);
-* :mod:`repro.faults.runtime` — runtime fault injectors: worker
-  crash/hang functions for ``repro.perf.fanout`` and deterministic
-  allocation failures for the JIT translation buffer;
+* :mod:`repro.faults.runtime` — deterministic allocation failures for
+  the JIT translation buffer;
 * :mod:`repro.faults.transport` — wire-level faults for ``repro.serve``
   (seeded drop/delay/truncate/corrupt of protocol frames) and a sweep
   asserting the server always answers or closes cleanly, never hangs;
@@ -36,7 +35,7 @@ from .injector import (
     PatchCorruptor,
 )
 from .harness import CaseOutcome, SweepReport, patch_sweep, sweep
-from .runtime import AllocationFaults, crashing_worker, hanging_worker
+from .runtime import AllocationFaults
 from .transport import (
     TRANSPORT_KINDS,
     FlakyTransport,
@@ -64,8 +63,6 @@ __all__ = [
     "TransportCaseOutcome",
     "TransportFault",
     "TransportSweepReport",
-    "crashing_worker",
-    "hanging_worker",
     "patch_sweep",
     "sweep",
     "transport_sweep",

@@ -19,13 +19,11 @@ the paper-grade contract:
   ``E_NO_BASE`` answers to the shard that can diff, and an unknown base
   degrades to a verified full transfer, never a wrong container.
 
-Fault verbs reuse the existing injector vocabulary: shard **kill** is
-the process twin of :func:`repro.faults.runtime.crashing_worker`
-(connections reset mid-frame), **hang** the twin of
-:func:`~repro.faults.runtime.hanging_worker` (a bounded sleep injected
-into the decode path — bounded because a killed shard's executor must
-still join), **flake** replays :class:`repro.faults.transport.FlakyTransport`
-frames at the router, and **drain** is the graceful SIGTERM path.
+Fault verbs: shard **kill** SIGKILLs a shard process (connections reset
+mid-frame), **hang** injects a bounded sleep into the decode path
+(bounded because a killed shard's executor must still join), **flake**
+replays :class:`repro.faults.transport.FlakyTransport` frames at the
+router, and **drain** is the graceful SIGTERM path.
 
 Everything is derived from one seed; ``ChaosReport.events`` replays the
 exact schedule.  CI runs this as the cluster chaos sweep

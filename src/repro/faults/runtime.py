@@ -1,12 +1,4 @@
-"""Runtime fault injectors: worker crashes/hangs and allocation failures.
-
-``crashing_worker`` and ``hanging_worker`` are module-level functions so
-they survive pickling into :class:`concurrent.futures.ProcessPoolExecutor`
-workers.  They misbehave *only inside a worker process*
-(``multiprocessing.parent_process()`` is set there), so when
-``repro.perf.fanout`` falls back to serial execution in the parent the
-same callable computes the correct result — which is exactly the
-degradation contract under test.
+"""Runtime fault injector: deterministic allocation failures.
 
 :class:`AllocationFaults` plugs into
 :class:`repro.jit.buffer.TranslationBuffer` via its ``alloc_hook`` and
@@ -16,35 +8,10 @@ JIT quarantine path without needing a buffer that is actually full.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import random
-import time
 from typing import FrozenSet, Iterable, Optional
 
 from ..errors import BufferCapacityError
-
-
-def _in_worker() -> bool:
-    return multiprocessing.parent_process() is not None
-
-
-def crashing_worker(task: int) -> int:
-    """Doubles its input — but hard-exits when run in a pool worker.
-
-    ``os._exit`` skips all cleanup, modelling a segfault/OOM-kill: the
-    executor sees the process vanish and raises ``BrokenProcessPool``.
-    """
-    if _in_worker():
-        os._exit(23)
-    return task * 2
-
-
-def hanging_worker(task: int) -> int:
-    """Doubles its input — but stalls indefinitely in a pool worker."""
-    if _in_worker():
-        time.sleep(3600)
-    return task * 2
 
 
 class AllocationFaults:

@@ -1,25 +1,14 @@
-"""Performance subsystem: per-phase profiling and process-level parallelism.
+"""Performance subsystem: per-phase profiling.
 
-Two concerns the rest of the pipeline threads through:
-
-* :mod:`repro.perf.profile` — :class:`PhaseProfile`, a wall-clock phase
-  timer that ``compress``/``decompress`` (and the ``ssd`` CLI via
-  ``--profile``) fill in so throughput claims can be decomposed into the
-  paper's phases (dictionary build vs copy phase, etc.).
-* :mod:`repro.perf.parallel` — a small fan-out helper over
-  ``concurrent.futures.ProcessPoolExecutor`` used by the ``jobs=``
-  parameter of ``repro.core.compress``.  The contract is strict: parallel
-  results are byte-identical to the serial path, whatever the worker
-  count.
+:class:`PhaseProfile` (:mod:`repro.perf.profile`) is a wall-clock phase
+timer that ``compress``/``decompress`` (and the ``ssd`` CLI via
+``--profile``) fill in so throughput claims can be decomposed into the
+paper's phases (dictionary build vs copy phase, etc.).
 """
 
-from .parallel import fanout, get_shared, resolve_jobs
 from .profile import NULL_PROFILE, PhaseProfile
 
 __all__ = [
     "NULL_PROFILE",
     "PhaseProfile",
-    "fanout",
-    "get_shared",
-    "resolve_jobs",
 ]

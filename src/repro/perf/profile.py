@@ -37,9 +37,7 @@ class PhaseProfile:
     """Accumulates wall-clock seconds per named phase, in first-seen order.
 
     The underlying record is a list of ``(name, seconds)`` events — one
-    per finished span — so the object stays cheap to pickle across the
-    ``repro.perf.parallel`` process boundary; ``timings``/``counts`` are
-    folded views over it.
+    per finished span; ``timings``/``counts`` are folded views over it.
     """
 
     def __init__(self) -> None:

@@ -190,66 +190,6 @@ class ServerMetrics:
             if seconds is not None:
                 self._decode_latency.append(seconds)
 
-    # -- registry-backed views (back-compat attribute surface) ---------------
-
-    @property
-    def requests(self) -> Counter:
-        return Counter({dict(labels).get("type", ""): count
-                        for labels, count in self._requests.collect().items()})
-
-    @property
-    def errors(self) -> Counter:
-        return Counter({dict(labels).get("code", ""): count
-                        for labels, count in self._errors.collect().items()})
-
-    @property
-    def bytes_in(self) -> int:
-        return int(self._bytes_in.value())
-
-    @property
-    def bytes_out(self) -> int:
-        return int(self._bytes_out.value())
-
-    @property
-    def connections_opened(self) -> int:
-        return int(self._connections.value(event="opened"))
-
-    @property
-    def connections_closed(self) -> int:
-        return int(self._connections.value(event="closed"))
-
-    @property
-    def protocol_failures(self) -> int:
-        return int(self._protocol_failures.value())
-
-    @property
-    def timeouts(self) -> int:
-        return int(self._timeouts.value())
-
-    @property
-    def coalesced(self) -> int:
-        return int(self._coalesced.value())
-
-    @property
-    def delta_patches(self) -> int:
-        return int(self._delta_patches.value())
-
-    @property
-    def delta_bytes_saved(self) -> int:
-        return int(self._delta_bytes_saved.value())
-
-    @property
-    def delta_no_base(self) -> int:
-        return int(self._delta_no_base.value())
-
-    @property
-    def prefetch_issued(self) -> int:
-        return int(self._prefetch_issued.value())
-
-    @property
-    def prefetch_hits(self) -> int:
-        return int(self._prefetch_hits.value())
-
     # -- reading ------------------------------------------------------------
 
     def decodes_for(self, container_id: str) -> Dict[int, int]:
@@ -291,35 +231,39 @@ class ServerMetrics:
                 entry["functions"] += 1
                 entry["decodes"] += count
             decodes_total = sum(self.decode_counts.values())
-        requests = self.requests
-        errors = self.errors
+        requests = {dict(labels).get("type", ""): count
+                    for labels, count in self._requests.collect().items()}
+        errors = {dict(labels).get("code", ""): count
+                  for labels, count in self._errors.collect().items()}
+        opened = int(self._connections.value(event="opened"))
+        closed = int(self._connections.value(event="closed"))
         snapshot = {
             "requests": dict(sorted(requests.items())),
             "requests_total": sum(requests.values()),
             "errors": dict(sorted(errors.items())),
             "errors_total": sum(errors.values()),
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
+            "bytes_in": int(self._bytes_in.value()),
+            "bytes_out": int(self._bytes_out.value()),
             "connections": {
-                "opened": self.connections_opened,
-                "closed": self.connections_closed,
-                "active": self.connections_opened - self.connections_closed,
+                "opened": opened,
+                "closed": closed,
+                "active": opened - closed,
             },
-            "protocol_failures": self.protocol_failures,
-            "timeouts": self.timeouts,
-            "coalesced": self.coalesced,
+            "protocol_failures": int(self._protocol_failures.value()),
+            "timeouts": int(self._timeouts.value()),
+            "coalesced": int(self._coalesced.value()),
             "latency": latency,
             "decode_latency": decode_latency,
             "decoded": dict(sorted(decoded.items())),
             "decodes_total": decodes_total,
             "delta": {
-                "patches": self.delta_patches,
-                "bytes_saved": self.delta_bytes_saved,
-                "no_base": self.delta_no_base,
+                "patches": int(self._delta_patches.value()),
+                "bytes_saved": int(self._delta_bytes_saved.value()),
+                "no_base": int(self._delta_no_base.value()),
             },
             "prefetch": {
-                "issued": self.prefetch_issued,
-                "hits": self.prefetch_hits,
+                "issued": int(self._prefetch_issued.value()),
+                "hits": int(self._prefetch_hits.value()),
             },
         }
         if cache_stats is not None:

@@ -44,7 +44,13 @@ from .codecs import (
     integrity_report_any,
     open_any,
 )
-from .core import compress, container_version, decompress, open_container
+from .core import (
+    MAX_SEQUENCE_LENGTH,
+    compress,
+    container_version,
+    decompress,
+    open_container,
+)
 from .core.lazy import LazyProgram
 from .isa import Program, assemble, disassemble, validate_program
 from .perf import PhaseProfile
@@ -95,12 +101,19 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
     from .obs import TRACER
 
-    if args.jobs < 0:
-        raise ToolError(f"--jobs must be >= 0, got {args.jobs}")
+    if args.max_len is not None and args.max_len < 1:
+        raise ToolError(f"--max-len must be >= 1, got {args.max_len}")
     try:
         get_codec(args.codec)
     except UnknownCodec as exc:
         raise ToolError(str(exc)) from None
+    if args.codec != "ssd":
+        ssd_only = [flag for flag, value in (("--base-codec", args.base_codec),
+                                             ("--max-len", args.max_len))
+                    if value is not None]
+        if ssd_only:
+            raise ToolError(f"{' and '.join(ssd_only)} only apply to "
+                            f"--codec ssd, not {args.codec}")
     program = load_program(args.input)
     validate_program(program)
     profile = PhaseProfile() if args.profile or args.trace else None
@@ -110,9 +123,11 @@ def cmd_compress(args: argparse.Namespace) -> int:
             root = stack.enter_context(
                 TRACER.span("cli.compress", input=args.input))
         if args.codec == "ssd":
-            compressed = compress(program, codec=args.base_codec,
-                                  max_len=args.max_len, jobs=args.jobs,
-                                  profile=profile)
+            compressed = compress(
+                program, codec=args.base_codec or "lz",
+                max_len=(MAX_SEQUENCE_LENGTH if args.max_len is None
+                         else args.max_len),
+                profile=profile)
         else:
             compressed = compress_with(args.codec, program)
     with open(args.output, "wb") as handle:
@@ -937,12 +952,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec", default="ssd", metavar="ID",
                    help="registered codec id (see `ssd codecs`); "
                         "default: ssd")
-    p.add_argument("--base-codec", choices=("lz", "delta"), default="lz",
-                   help="SSD base-entry codec (ssd codec only)")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the parallel pipeline "
-                        "(0 = all cores; output is identical to --jobs 1)")
+    p.add_argument("--base-codec", choices=("lz", "delta"), default=None,
+                   help="SSD base-entry codec (ssd codec only; default: lz)")
+    p.add_argument("--max-len", type=int, default=None,
+                   help="longest sequence entry (ssd codec only; default: 4)")
     p.add_argument("--profile", action="store_true",
                    help="print per-phase timings to stderr")
     p.add_argument("--trace", default=None, metavar="FILE",

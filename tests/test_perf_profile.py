@@ -87,10 +87,10 @@ class TestPipelinePhases:
 
 
 class TestCLI:
-    def test_compress_profile_and_jobs_flags(self, tmp_path, capsys):
+    def test_compress_profile_flag(self, tmp_path, capsys):
         out = tmp_path / "go.ssd"
         rc = tools.main(["compress", "bench:go@0.02", "-o", str(out),
-                         "--jobs", "2", "--profile"])
+                         "--profile"])
         assert rc == 0
         captured = capsys.readouterr()
         assert "compress phases" in captured.err
@@ -108,11 +108,3 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "decompress phases" in captured.err
         assert "copy_phase" in captured.err
-
-    def test_jobs_flag_output_identical(self, tmp_path, capsys):
-        serial = tmp_path / "serial.ssd"
-        parallel = tmp_path / "parallel.ssd"
-        assert tools.main(["compress", "bench:go@0.02", "-o", str(serial)]) == 0
-        assert tools.main(["compress", "bench:go@0.02", "-o", str(parallel),
-                           "--jobs", "2"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()

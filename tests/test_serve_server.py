@@ -158,7 +158,7 @@ class TestTimeouts:
                 assert info.value.code_name == "E_TIMEOUT"
                 # The connection (and server) survive the deadline miss.
                 assert client.meta(container_id).function_count == 4
-        assert handle.metrics.timeouts >= 1
+        assert handle.metrics.snapshot()["timeouts"] >= 1
 
 
 class TestBackpressure:

@@ -225,6 +225,37 @@ class TestCodecsCommand:
                      "--codec", "nope"]) == 2
         assert "unknown codec" in capsys.readouterr().err
 
+    def test_compress_max_len_zero_exits_2(self, asm_file, tmp_path, capsys):
+        out = tmp_path / "x.ssd"
+        assert main(["compress", str(asm_file), "-o", str(out),
+                     "--max-len", "0"]) == 2
+        assert "error: --max-len must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--base-codec", "delta"],
+                                      ["--max-len", "3"]])
+    def test_ssd_only_flags_rejected_for_other_codecs(self, asm_file,
+                                                      tmp_path, capsys, flag):
+        out = tmp_path / "x.ssd"
+        assert main(["compress", str(asm_file), "-o", str(out),
+                     "--codec", "brisc", *flag]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[0]} only apply to --codec ssd" in err
+        assert not out.exists()
+
+    def test_ssd_flag_defaults_match_explicit_values(self, asm_file, tmp_path):
+        explicit = tmp_path / "explicit.ssd"
+        assert main(["compress", str(asm_file), "-o", str(explicit),
+                     "--base-codec", "lz", "--max-len", "4"]) == 0
+        default = tmp_path / "default.ssd"
+        assert main(["compress", str(asm_file), "-o", str(default)]) == 0
+        assert explicit.read_bytes() == default.read_bytes()
+
+    def test_jobs_flag_rejected(self, asm_file, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["compress", str(asm_file), "-o", str(tmp_path / "x.ssd"),
+                  "--jobs", "2"])
+
 
 class TestJsonOutput:
     def test_inspect_json(self, ssd_file, capsys):
