@@ -27,7 +27,6 @@ from .copy_phase import (
     CopyPhaseError,
     TableEntry,
     TranslatedFunction,
-    copy_translate,
     read_patched_displacement,
 )
 from .decompressor import DecompressionError, SSDReader, decompress, open_container
@@ -41,14 +40,7 @@ from .dictionary import (
     dictionary_statistics,
 )
 from .lazy import LazyProgram, lazy_program
-from .items import (
-    DecodedItem,
-    EntryInfo,
-    ItemStreamError,
-    decode_items,
-    encode_items,
-    resolve_branch_targets,
-)
+from .items import EntryInfo, ItemStreamError, encode_items
 from .layout import SegmentLayout, build_layouts, layouts_from_sections
 from .partition import (
     DEFAULT_COMMON_BUDGET,
@@ -76,7 +68,6 @@ __all__ = [
     "DEFAULT_COMMON_BUDGET",
     "DEFAULT_LIMITS",
     "DecodeLimits",
-    "DecodedItem",
     "DecompressionError",
     "ProfileHints",
     "EntryInfo",
@@ -100,9 +91,7 @@ __all__ = [
     "build_layouts",
     "compress",
     "container_version",
-    "copy_translate",
     "decode_base_entries",
-    "decode_items",
     "decode_sequence_tree",
     "decompress",
     "dictionary_statistics",
@@ -120,7 +109,6 @@ __all__ = [
     "partition_statistics",
     "plan_partition",
     "read_patched_displacement",
-    "resolve_branch_targets",
     "sequence_index_map",
     "serialize",
 ]

@@ -25,8 +25,7 @@ from itertools import accumulate, compress
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..errors import CorruptContainer
-from ..kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN, ItemPlanes
-from .items import DecodedItem
+from ..kernels import KIND_BRANCH, KIND_CALL, ItemPlanes
 
 
 class CopyPhaseError(CorruptContainer):
@@ -182,24 +181,6 @@ def _whole(planes: ItemPlanes, table: Sequence[TableEntry]) -> TranslatedFunctio
     return TranslatedFunction(code=fragment.code,
                               call_relocations=fragment.call_relocations,
                               item_offsets=fragment.item_offsets)
-
-
-def copy_translate(items: Sequence[DecodedItem],
-                   table: Sequence[TableEntry]) -> TranslatedFunction:
-    """Run Algorithm 3 over one function's decoded items
-    (:func:`copy_translate_range` over the whole function)."""
-    kinds = [KIND_BRANCH if item.branch_displacement is not None
-             else KIND_CALL if item.call_target is not None else KIND_PLAIN
-             for item in items]
-    values = [item.branch_displacement if kind == KIND_BRANCH
-              else item.call_target if kind == KIND_CALL else 0
-              for item, kind in zip(items, kinds)]
-    lengths = [item.length for item in items]
-    starts = list(accumulate(lengths, initial=0))
-    starts.pop()
-    return _whole(ItemPlanes(indices=[item.dict_index for item in items],
-                             kinds=kinds, values=values, lengths=lengths,
-                             starts=starts), table)
 
 
 def copy_translate_planes(planes: ItemPlanes,

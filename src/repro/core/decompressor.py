@@ -29,12 +29,7 @@ from . import container
 from . import hints as hints_codec
 from .container import DEFAULT_LIMITS, DecodeLimits
 from ..kernels import KIND_CALL, ItemPlanes
-from .items import (
-    DecodedItem,
-    decode_item_planes,
-    planes_to_items,
-    resolve_plane_targets,
-)
+from .items import decode_item_planes, resolve_plane_targets
 from .layout import DecompressionError, SegmentLayout, layouts_from_sections
 
 
@@ -109,9 +104,6 @@ class SSDReader:
         layout = self.layout_for_function(findex)
         return decode_item_planes(self.sections.item_streams[findex],
                                   layout.info_of, cache=layout)
-
-    def decoded_items(self, findex: int) -> List[DecodedItem]:
-        return planes_to_items(self.item_planes(findex))
 
     def function_instructions(self, findex: int) -> List[Instruction]:
         """Incrementally decompress one function back to VM instructions.

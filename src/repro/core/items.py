@@ -107,17 +107,6 @@ def encode_items(refs: Sequence[EntryRef],
     return writer.getvalue()
 
 
-@dataclass(frozen=True)
-class DecodedItem:
-    """One parsed SSD item."""
-
-    dict_index: int
-    length: int
-    #: displacement in items (branches) or callee function index (calls)
-    branch_displacement: Optional[int] = None
-    call_target: Optional[int] = None
-
-
 def _decode_planes_scalar(blob: bytes,
                           info_of: Dict[int, EntryInfo]) -> ItemPlanes:
     """Reference plane decoder — owns the error semantics.
@@ -188,55 +177,14 @@ def decode_item_planes(blob: bytes, info_of: Dict[int, EntryInfo],
     return planes
 
 
-def planes_to_items(planes: ItemPlanes) -> List[DecodedItem]:
-    """Materialize :class:`DecodedItem` values from split planes."""
-    return [
-        DecodedItem(
-            dict_index=index, length=length,
-            branch_displacement=value if kind == KIND_BRANCH else None,
-            call_target=value if kind == KIND_CALL else None)
-        for index, kind, value, length in zip(
-            planes.indices, planes.kinds, planes.values, planes.lengths)
-    ]
-
-
-def decode_items(blob: bytes, info_of: Dict[int, EntryInfo]) -> List[DecodedItem]:
-    """Parse an item stream into :class:`DecodedItem` values."""
-    return planes_to_items(decode_item_planes(blob, info_of))
-
-
-def resolve_branch_targets(items: Sequence[DecodedItem]) -> List[Optional[int]]:
-    """Instruction-index branch target of each item (None for non-branches).
-
-    This is the decode-side forwarding pass: item displacements convert
-    back to instruction indices via each item's starting position.
-    """
-    starts: List[int] = []
-    position = 0
-    for item in items:
-        starts.append(position)
-        position += item.length
-    targets: List[Optional[int]] = []
-    for item_index, item in enumerate(items):
-        if item.branch_displacement is None:
-            targets.append(None)
-            continue
-        target_item = item_index + 1 + item.branch_displacement
-        if not 0 <= target_item < len(items):
-            raise ItemStreamError(
-                f"item {item_index}: branch displacement {item.branch_displacement} "
-                f"leaves the function ({len(items)} items)")
-        targets.append(starts[target_item])
-    return targets
-
-
 def resolve_plane_targets(planes: ItemPlanes) -> List[Optional[int]]:
-    """Plane-based forwarding pass: branch targets in instruction units.
+    """The decode-side forwarding pass: branch targets in instruction units.
 
-    Equivalent to :func:`resolve_branch_targets` over the materialized
-    items — same error type and message when a displacement leaves the
-    function.  It has no numpy version: one measured slower than this
-    loop at every function size of the corpus.
+    Item displacements convert back to instruction indices via each
+    item's starting position (``planes.starts``); a displacement that
+    leaves the function raises :class:`ItemStreamError`.  It has no numpy
+    version: one measured slower than this loop at every function size
+    of the corpus.
     """
     count = planes.count
     starts = planes.starts

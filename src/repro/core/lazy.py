@@ -5,7 +5,7 @@ decompressed at basic-block granularity with reasonable efficiency",
 enabling interpreters to decompress incrementally during execution
 (section 1).  This module makes that property executable: a
 :class:`LazyProgram` looks like a normal :class:`~repro.isa.Program` but
-materializes each function from the container only when control first
+materializes each function from its source only when control first
 reaches it.  Run it directly in the interpreter:
 
     reader = open_container(compressed)
@@ -16,90 +16,104 @@ reaches it.  Run it directly in the interpreter:
 Code never executed is never decompressed — the measurable form of the
 paper's incremental-decompression claim (and the start of its
 application-startup story).
+
+This is the one paging core.  The source is anything reader-shaped
+(:class:`FunctionSource`): a local codec reader, or the served container
+behind :class:`repro.serve.client.RemoteProgram`, which is a
+``LazyProgram`` whose functions travel over the wire.  Predictive
+prefetch lives where the access stream is seen, in the code server.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Set
+import threading
+from typing import Callable, Dict, Iterable, Iterator, Protocol, Set
 
 from ..isa import Function
 
-if TYPE_CHECKING:  # circular at runtime: repro.codecs builds on repro.core
-    from ..codecs.base import CodecReader
-    from ..profile.markov import MarkovPredictor
+
+class FunctionSource(Protocol):
+    """What a :class:`LazyProgram` pages from: a program's name, entry
+    and function count, and a decode of one function by index."""
+
+    @property
+    def program_name(self) -> str: ...
+
+    @property
+    def entry(self) -> int: ...
+
+    @property
+    def function_count(self) -> int: ...
+
+    def function(self, findex: int) -> Function: ...
 
 
-class _LazyFunctionList:
-    """Sequence facade over the container's functions.
+class _FunctionList:
+    """Sequence facade that fetches each function on first access.
 
-    ``__getitem__`` decompresses on first access and caches; ``len`` and
-    iteration behave like a list of Functions.  Decode and memoization
-    live in the reader's ``function()`` (thread-safe), so several lazy
-    programs — or several threads — can share one reader; this list only
-    tracks which indices *it* has touched.
+    ``len`` and iteration behave like a list of Functions.  The memo is
+    per list, so each program view tracks which indices *it* touched;
+    writes go through a lock, and a hit is one dict lookup.  Two threads
+    missing on one index may both fetch, but both get the first result.
     """
 
-    def __init__(self, reader: "CodecReader", on_access=None) -> None:
-        self._reader = reader
-        self._touched: Set[int] = set()
-        self._on_access = on_access
+    def __init__(self, count: int,
+                 fetch: Callable[[int], Function]) -> None:
+        self._count = count
+        self._fetch = fetch
+        self._memo: Dict[int, Function] = {}
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return self._reader.function_count
+        return self._count
 
     def __getitem__(self, findex: int) -> Function:
+        # The interpreter indexes on every call: a hit is one lookup,
+        # and the checks below run only on a miss.
+        function = self._memo.get(findex)
+        if function is not None:
+            return function
         if isinstance(findex, slice):
             raise TypeError("lazy function lists do not support slicing")
         if findex < 0:
-            findex += len(self)
-        if not 0 <= findex < len(self):
+            findex += self._count
+        if not 0 <= findex < self._count:
             raise IndexError(f"function index {findex} out of range")
-        function = self._reader.function(findex)
-        self._touched.add(findex)
-        if self._on_access is not None:
-            self._on_access(findex)
+        function = self._memo.get(findex)
+        if function is None:
+            fetched = self._fetch(findex)
+            with self._lock:
+                function = self._memo.setdefault(findex, fetched)
         return function
 
     def __iter__(self) -> Iterator[Function]:
-        for findex in range(len(self)):
+        for findex in range(self._count):
             yield self[findex]
 
     @property
     def materialized(self) -> Set[int]:
-        return set(self._touched)
+        with self._lock:
+            return set(self._memo)
 
 
 class LazyProgram:
-    """A Program-shaped view of a compressed container.
+    """A Program-shaped view of a compressed program.
 
     Duck-types the pieces the interpreter (and most analyses) use:
     ``name``, ``entry``, ``functions`` (indexable, measurable).  Functions
-    decompress on first access.  Works over any codec's reader — anything
-    with the ``repro.codecs.CodecReader`` surface (``program_name``,
-    ``entry``, ``function_count``, ``function(findex)``).
+    are fetched from ``reader.function`` on first access.  ``reader`` is
+    any :class:`FunctionSource`: every codec's reader is one.
     """
 
-    def __init__(self, reader: "CodecReader",
-                 predictor: Optional["MarkovPredictor"] = None) -> None:
+    def __init__(self, reader: FunctionSource) -> None:
         self._reader = reader
         self.name = reader.program_name
         self.entry = reader.entry
-        self.functions = _LazyFunctionList(
-            reader,
-            on_access=self._note_access if predictor is not None else None)
-        #: optional next-function predictor; when present it is seeded
-        #: from the container's profile hints and learns every
-        #: first-touch transition, so ``prefetch_predicted`` can warm
-        #: the next functions ahead of control flow
-        self.predictor = predictor
-        self._last_access: Optional[int] = None
-        if predictor is not None:
-            hints = getattr(reader, "profile_hints", None)
-            if hints is not None:
-                predictor.seed(hints.edges)
+        self.functions = _FunctionList(reader.function_count,
+                                       reader.function)
 
     @property
-    def reader(self) -> "CodecReader":
+    def reader(self) -> FunctionSource:
         return self._reader
 
     @property
@@ -116,50 +130,10 @@ class LazyProgram:
         total = len(self.functions)
         return self.decompressed_count / total if total else 0.0
 
-    def prefetch(self, indices) -> None:
+    def prefetch(self, indices: Iterable[int]) -> None:
         """Eagerly materialize selected functions (startup sets, tests)."""
         for findex in indices:
             self.functions[findex]  # noqa: B018 - materializing side effect
-
-    def _note_access(self, findex: int) -> None:
-        if self.predictor is not None and self._last_access is not None:
-            self.predictor.observe(self._last_access, findex)
-        self._last_access = findex
-
-    def prefetch_hot(self, limit: Optional[int] = None) -> int:
-        """Materialize the container's hinted hot set (hottest first);
-        returns how many functions were fetched.  A container without
-        profile hints is a no-op."""
-        from ..profile.markov import record_client_fetches  # late: no cycle
-
-        hints = getattr(self._reader, "profile_hints", None)
-        if hints is None:
-            return 0
-        hot = [f for f in hints.hot if 0 <= f < len(self.functions)]
-        if limit is not None:
-            hot = hot[:limit]
-        fresh = [f for f in hot if f not in self.functions.materialized]
-        self.prefetch(fresh)
-        record_client_fetches(len(fresh))
-        return len(fresh)
-
-    def prefetch_predicted(self, findex: Optional[int] = None,
-                           depth: int = 2) -> int:
-        """Materialize the predicted successors of ``findex`` (default:
-        the most recent access); returns how many were fetched."""
-        from ..profile.markov import record_client_fetches  # late: no cycle
-
-        if self.predictor is None:
-            return 0
-        src = self._last_access if findex is None else findex
-        if src is None:
-            return 0
-        fresh = [f for f in self.predictor.predict(src, depth)
-                 if isinstance(f, int) and 0 <= f < len(self.functions)
-                 and f not in self.functions.materialized]
-        self.prefetch(fresh)
-        record_client_fetches(len(fresh))
-        return len(fresh)
 
 
 def lazy_program(container_bytes: bytes) -> LazyProgram:

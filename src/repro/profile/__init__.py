@@ -12,18 +12,13 @@ the stack:
   ranks + successor edges) ships in the container's profile-hint
   section (``repro.core.hints``, see docs/LAYOUT.md);
 * :class:`MarkovPredictor` — the bounded next-access predictor the
-  serve cache, ``RemoteProgram`` and ``LazyProgram`` use for
-  prefetching, seedable from those same hints.
+  code server's prefetcher uses, seedable from those same hints.
 
 ``repro.core.compressor.compress(..., plan=...)`` consumes a
 :class:`LayoutPlan`; decode output is byte-identical whatever the plan.
 """
 
-from .markov import (
-    MarkovPredictor,
-    predictor_from_hints,
-    record_client_fetches,
-)
+from .markov import MarkovPredictor, predictor_from_hints
 from .plan import (
     DEFAULT_HOT_FRACTION,
     DEFAULT_MAX_EDGES,
@@ -40,5 +35,4 @@ __all__ = [
     "MarkovPredictor",
     "build_plan",
     "predictor_from_hints",
-    "record_client_fetches",
 ]

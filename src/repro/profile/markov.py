@@ -1,25 +1,23 @@
 """First-order markov next-access prediction.
 
-One predictor class serves every layer: the code server learns
-``(container, findex) -> next`` transitions from its request stream,
-``RemoteProgram``/``LazyProgram`` learn local function-to-function
-transitions, and container profile hints (``repro.core.hints``) seed
-the table so the very first replay of a profiled workload already
+The code server's prefetcher learns ``(container, findex) -> next``
+transitions from its request stream — prediction lives where the access
+stream is seen — and container profile hints (``repro.core.hints``)
+seed the table so the very first replay of a profiled workload already
 predicts.
 
 The table is bounded both ways: at most ``max_states`` source states
 (oldest-observed evicted first) and at most ``max_successors``
 successors per state (lightest dropped), so an adversarial or
 high-cardinality stream cannot grow it without bound.  All methods are
-thread-safe — the server observes from the event loop while clients
-observe from worker threads.
+thread-safe, so the event loop and worker threads can share one table.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from ..obs import REGISTRY
 
@@ -29,18 +27,9 @@ _PREDICTIONS = REGISTRY.counter(
 _SEEDED_EDGES = REGISTRY.counter(
     "prefetch_seeded_edges_total",
     "Successor edges seeded into predictors from container profile hints.")
-_CLIENT_FETCHES = REGISTRY.counter(
-    "prefetch_client_fetches_total",
-    "Functions fetched ahead of use by client-side prefetch.")
 
 DEFAULT_MAX_STATES = 4096
 DEFAULT_MAX_SUCCESSORS = 8
-
-
-def record_client_fetches(count: int) -> None:
-    """Count client-side prefetch fetches (RemoteProgram/LazyProgram)."""
-    if count > 0:
-        _CLIENT_FETCHES.inc(count)
 
 
 class MarkovPredictor:
@@ -172,5 +161,4 @@ __all__ = [
     "DEFAULT_MAX_SUCCESSORS",
     "MarkovPredictor",
     "predictor_from_hints",
-    "record_client_fetches",
 ]

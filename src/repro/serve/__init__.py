@@ -8,8 +8,8 @@ functions to many concurrent clients (request coalescing, a shared
 byte-budgeted LRU over dictionary state and hot functions, bounded
 concurrency with backpressure, per-request deadlines), and a client
 whose :class:`RemoteProgram` runs in the local interpreter while
-fetching functions over the wire on first call — the network analogue
-of :class:`repro.core.lazy.LazyProgram`.
+fetching functions over the wire on first call — a
+:class:`repro.core.lazy.LazyProgram` whose source is the server.
 
 For deployments bigger than one process, ``repro.serve.cluster`` runs N
 shard servers behind a :class:`ClusterRouter` front-end that speaks the

@@ -20,10 +20,10 @@ Two robustness layers sit between a request and the socket:
   the store is content-addressed, so re-putting identical bytes is a
   no-op server-side.
 
-:class:`RemoteProgram` is the network analogue of
-:class:`repro.core.lazy.LazyProgram`: it duck-types a
-:class:`~repro.isa.Program` for the interpreter while paging functions
-from the server on first call — run a container you never downloaded::
+:class:`RemoteProgram` is a :class:`repro.core.lazy.LazyProgram` whose
+source is the server: it duck-types a :class:`~repro.isa.Program` for the
+interpreter while paging functions from the server on first call — run a
+container you never downloaded::
 
     with ServeClient(host, port, retries=3) as client:
         program = RemoteProgram(client, container_id)
@@ -45,16 +45,12 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional, Set,
-                    Tuple, Union)
+from typing import Iterator, List, Optional, Tuple, Union
 
+from ..core.lazy import LazyProgram
 from ..errors import ProtocolError, RemoteError, UnavailableError
 from ..isa import Function, Instruction
 from . import protocol
-
-if TYPE_CHECKING:  # late imports at runtime: serve must not drag in core
-    from ..core.hints import ProfileHints
-    from ..profile.markov import MarkovPredictor
 
 #: legacy single client-side socket timeout (seconds); still accepted as
 #: ``ServeClient(..., timeout=...)`` and applied uniformly to every op
@@ -490,21 +486,18 @@ class ServeClient:
         self.close()
 
 
-class _RemoteFunctionList:
-    """Sequence facade paging functions over the wire on first access."""
+class _RemoteSource:
+    """A served container in the reader shape :class:`LazyProgram` pages
+    from: each ``function(findex)`` is one GET_FUNCTION."""
 
-    def __init__(self, client: ServeClient, meta: ContainerMeta,
-                 on_access: Optional[Callable[[int], None]] = None) -> None:
+    def __init__(self, client: ServeClient, meta: ContainerMeta) -> None:
         self._client = client
-        self._meta = meta
-        self._cache: dict = {}
-        self._lock = threading.Lock()
-        self._on_access = on_access
+        self._container_id = meta.container_id
+        self.program_name = meta.program_name
+        self.entry = meta.entry
+        self.function_count = meta.function_count
 
-    def __len__(self) -> int:
-        return self._meta.function_count
-
-    def _fetch(self, findex: int) -> Function:
+    def function(self, findex: int) -> Function:
         """Page one function, reconnecting once if the connection died.
 
         A connection that drops *between* pages used to leak the dead
@@ -513,159 +506,31 @@ class _RemoteFunctionList:
         so resume costs exactly one page.
         """
         try:
-            return self._client.function(self._meta.container_id, findex)
+            return self._client.function(self._container_id, findex)
         except (OSError, ProtocolError):
             self._client.reconnect()
-            return self._client.function(self._meta.container_id, findex)
-
-    def __getitem__(self, findex: int) -> Function:
-        if isinstance(findex, slice):
-            raise TypeError("remote function lists do not support slicing")
-        if findex < 0:
-            findex += len(self)
-        if not 0 <= findex < len(self):
-            raise IndexError(f"function index {findex} out of range")
-        function = self._cache.get(findex)
-        if function is None:
-            fetched = self._fetch(findex)
-            with self._lock:
-                function = self._cache.setdefault(findex, fetched)
-        if self._on_access is not None:
-            self._on_access(findex)
-        return function
-
-    def __iter__(self) -> Iterator[Function]:
-        for findex in range(len(self)):
-            yield self[findex]
-
-    @property
-    def materialized(self) -> Set[int]:
-        with self._lock:
-            return set(self._cache)
+            return self._client.function(self._container_id, findex)
 
 
-class RemoteProgram:
+class RemoteProgram(LazyProgram):
     """A Program-shaped view of a container living on a server.
 
-    Duck-types what the interpreter uses (``name``, ``entry``, indexable
-    ``functions``); each function travels over the wire on first call
-    and is cached client-side.  The same measurability surface as
-    :class:`~repro.core.lazy.LazyProgram` (``decompressed_count``,
-    ``decompressed_fraction``, ``prefetch``) applies to *fetched*
-    functions.  Connection drops between pages reconnect-and-resume.
+    A :class:`~repro.core.lazy.LazyProgram` whose source is the server:
+    each function travels over the wire on first call and is cached
+    client-side, so ``decompressed_count``, ``decompressed_fraction`` and
+    ``prefetch`` count *fetched* functions.  Connection drops between
+    pages reconnect-and-resume.  ``container`` is a container id, or
+    container bytes to upload first.
     """
 
-    def __init__(self, client: ServeClient,
-                 container: Union[str, bytes],
-                 predictor: Optional["MarkovPredictor"] = None) -> None:
-        #: profile hints recovered from the container bytes (only
-        #: available when the caller uploads bytes — for an id-only
-        #: program the hints live server-side, where the server's own
-        #: prefetcher consumes them)
-        self.hints: Optional["ProfileHints"] = None
+    def __init__(self, client: ServeClient, container: Union[str, bytes]) -> None:
         if isinstance(container, bytes):
             container_id, _, _ = client.put(container)
-            self.hints = _hints_from_container(container)
         else:
             container_id = container
-        self._client = client
         self.container_id = container_id
-        self._meta = client.meta(container_id)
-        self.name = self._meta.program_name
-        self.entry = self._meta.entry
-        #: optional next-function predictor, same surface as
-        #: :class:`~repro.core.lazy.LazyProgram`: seeded from the
-        #: container's profile hints, fed every first-touch transition
-        self.predictor = predictor
-        self._last_access: Optional[int] = None
-        self.functions = _RemoteFunctionList(
-            client, self._meta,
-            on_access=self._note_access if predictor is not None else None)
-        if predictor is not None and self.hints is not None:
-            predictor.seed(self.hints.edges)
-
-    @property
-    def meta(self) -> ContainerMeta:
-        return self._meta
-
-    @property
-    def decompressed_count(self) -> int:
-        """Functions fetched from the server so far."""
-        return len(self.functions.materialized)
-
-    @property
-    def decompressed_functions(self) -> Set[int]:
-        return self.functions.materialized
-
-    @property
-    def decompressed_fraction(self) -> float:
-        total = len(self.functions)
-        return self.decompressed_count / total if total else 0.0
-
-    def prefetch(self, indices) -> None:
-        """Eagerly fetch selected functions (startup sets)."""
-        for findex in indices:
-            self.functions[findex]  # noqa: B018 - fetching side effect
-
-    def _note_access(self, findex: int) -> None:
-        if self.predictor is not None and self._last_access is not None:
-            self.predictor.observe(self._last_access, findex)
-        self._last_access = findex
-
-    def prefetch_hot(self, limit: Optional[int] = None) -> int:
-        """Fetch the container's hinted hot set (hottest first); returns
-        how many functions travelled.  No hints — no-op."""
-        from ..profile.markov import record_client_fetches  # late: no cycle
-
-        if self.hints is None:
-            return 0
-        hot = [f for f in self.hints.hot if 0 <= f < len(self.functions)]
-        if limit is not None:
-            hot = hot[:limit]
-        fresh = [f for f in hot if f not in self.functions.materialized]
-        self.prefetch(fresh)
-        record_client_fetches(len(fresh))
-        return len(fresh)
-
-    def prefetch_predicted(self, findex: Optional[int] = None,
-                           depth: int = 2) -> int:
-        """Fetch the predicted successors of ``findex`` (default: the
-        most recent access); returns how many travelled."""
-        from ..profile.markov import record_client_fetches  # late: no cycle
-
-        if self.predictor is None:
-            return 0
-        src = self._last_access if findex is None else findex
-        if src is None:
-            return 0
-        fresh = [f for f in self.predictor.predict(src, depth)
-                 if isinstance(f, int) and 0 <= f < len(self.functions)
-                 and f not in self.functions.materialized]
-        self.prefetch(fresh)
-        record_client_fetches(len(fresh))
-        return len(fresh)
-
-
-def _hints_from_container(data: bytes) -> Optional["ProfileHints"]:
-    """Best-effort profile-hint extraction from container bytes.
-
-    Hints are advisory, so *any* failure — foreign codec, corrupt blob,
-    plain container — degrades to ``None`` rather than failing the
-    program construction.
-    """
-    from ..core import container as core_container  # late: no cycle
-    from ..core.hints import decode_hints
-    from ..errors import ReproError
-
-    try:
-        sections = core_container.parse(data)
-        blob = sections.profile_hints_blob
-        if not blob:
-            return None
-        decoded = decode_hints(blob)
-    except (ReproError, ValueError, EOFError):
-        return None
-    return decoded if decoded else None
+        self.meta = client.meta(container_id)
+        super().__init__(_RemoteSource(client, self.meta))
 
 
 def remote_program(host: str, port: int,

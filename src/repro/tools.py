@@ -52,9 +52,11 @@ from .core import (
     open_container,
 )
 from .core.lazy import LazyProgram
+from .errors import ReproError
 from .isa import Program, assemble, disassemble, validate_program
 from .perf import PhaseProfile
 from .vm import native_size, run_program
+from .vm.errors import VMError
 
 
 class ToolError(ValueError):
@@ -94,6 +96,17 @@ def load_program(spec: str) -> Program:
             return assemble(handle.read())
     except FileNotFoundError:
         raise ToolError(f"no such file: {spec}") from None
+
+
+def _read_binary(path: str) -> bytes:
+    """Read an input file, or raise :class:`ToolError` when it cannot be."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise ToolError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ToolError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
@@ -145,8 +158,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 def cmd_decompress(args: argparse.Namespace) -> int:
     profile = PhaseProfile() if args.profile else None
-    with open(args.input, "rb") as handle:
-        data = handle.read()
+    data = _read_binary(args.input)
     if codec_of(data) == "ssd":
         program = decompress(data, profile=profile)
     else:
@@ -265,8 +277,7 @@ def _inspect_generic(data: bytes, reader, args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    with open(args.input, "rb") as handle:
-        data = handle.read()
+    data = _read_binary(args.input)
     if codec_of(data) != "ssd":
         return _inspect_generic(data, open_any(data), args)
     reader = open_container(data)
@@ -356,8 +367,7 @@ def _print_integrity(data: bytes) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check container integrity, optionally against a source program."""
-    with open(args.container, "rb") as handle:
-        data = handle.read()
+    data = _read_binary(args.container)
     if args.source is None:
         if args.json:
             payload, status = _integrity_json(data)
@@ -415,11 +425,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.input.startswith("bench:") or args.input.endswith(".asm"):
         data = compress_with(args.codec, load_program(args.input)).data
     else:
-        try:
-            with open(args.input, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            raise ToolError(f"no such file: {args.input}") from None
+        data = _read_binary(args.input)
         if not data.startswith(b"SSD"):
             raise ToolError(f"{args.input} is not an SSD container")
     report = sweep(data, cases=args.cases, seed=args.seed,
@@ -450,8 +456,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     from .obs import TRACER
 
-    with open(args.input, "rb") as handle:
-        data = handle.read()
+    data = _read_binary(args.input)
     with ExitStack() as stack:
         root = None
         if args.trace:
@@ -849,14 +854,6 @@ def cmd_client(args: argparse.Namespace) -> int:
         client.close()
 
 
-def _read_binary(path: str) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except FileNotFoundError:
-        raise ToolError(f"no such file: {path}") from None
-
-
 def cmd_delta(args: argparse.Namespace) -> int:
     """Version-to-version container patches (the code-update path)."""
     import hashlib
@@ -1136,6 +1133,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ReproError, VMError) as exc:
+        # A corrupt container, a failed run: one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,16 +9,16 @@ from repro.core import (
     ItemStreamError,
     build_dictionary,
     decode_base_entries,
-    decode_items,
     decode_sequence_tree,
     encode_base_entries,
     encode_items,
     encode_sequence_tree,
     order_base_entries,
-    resolve_branch_targets,
     sequence_index_map,
 )
 from repro.core.dictionary import BaseEntry
+from repro.core.items import decode_item_planes, resolve_plane_targets
+from repro.kernels import KIND_CALL
 from repro.isa import Instruction, Op, assemble
 
 from .strategies import programs
@@ -188,9 +188,9 @@ class TestItemCodec:
         refs = [EntryRef(base_ids=(10,)), EntryRef(base_ids=(11, 12, 13))]
         index_of = {(10,): 0, (11, 12, 13): 2}
         blob = encode_items(refs, index_of, info)
-        items = decode_items(blob, info)
-        assert [i.dict_index for i in items] == [0, 2]
-        assert [i.length for i in items] == [1, 3]
+        planes = decode_item_planes(blob, info)
+        assert planes.indices == [0, 2]
+        assert planes.lengths == [1, 3]
 
     def test_branch_displacement_roundtrip(self):
         from repro.core.dictionary import EntryRef
@@ -205,8 +205,8 @@ class TestItemCodec:
         ]
         index_of = {(20,): 1, (11, 12, 13): 2, (10,): 0}
         blob = encode_items(refs, index_of, info)
-        items = decode_items(blob, info)
-        targets = resolve_branch_targets(items)
+        planes = decode_item_planes(blob, info)
+        targets = resolve_plane_targets(planes)
         assert targets == [4, None, None]
 
     def test_backward_branch(self):
@@ -218,8 +218,8 @@ class TestItemCodec:
             EntryRef(base_ids=(20,), branch_target=0),
         ]
         index_of = {(10,): 0, (20,): 1}
-        items = decode_items(encode_items(refs, index_of, info), info)
-        assert resolve_branch_targets(items) == [None, 0]
+        planes = decode_item_planes(encode_items(refs, index_of, info), info)
+        assert resolve_plane_targets(planes) == [None, 0]
 
     def test_call_target_roundtrip(self):
         from repro.core.dictionary import EntryRef
@@ -227,8 +227,9 @@ class TestItemCodec:
         info = self._simple_setup()
         refs = [EntryRef(base_ids=(30,), call_target=7)]
         index_of = {(30,): 3}
-        items = decode_items(encode_items(refs, index_of, info), info)
-        assert items[0].call_target == 7
+        planes = decode_item_planes(encode_items(refs, index_of, info), info)
+        assert planes.kinds == [KIND_CALL]
+        assert planes.values == [7]
 
     def test_misaligned_branch_target_rejected(self):
         from repro.core.dictionary import EntryRef
@@ -254,15 +255,15 @@ class TestItemCodec:
     def test_unknown_index_on_decode_rejected(self):
         info = self._simple_setup()
         with pytest.raises(ItemStreamError, match="unknown index"):
-            decode_items(b"\x63\x00", info)  # index 99
+            decode_item_planes(b"\x63\x00", info)  # index 99
 
     def test_out_of_range_displacement_rejected(self):
         info = {1: EntryInfo(length=1, is_branch=True, target_size=1)}
         # displacement +100 with only 1 item
         blob = b"\x01\x00\x64"
-        items = decode_items(blob, info)
+        planes = decode_item_planes(blob, info)
         with pytest.raises(ItemStreamError, match="leaves the function"):
-            resolve_branch_targets(items)
+            resolve_plane_targets(planes)
 
 
 @given(programs(max_functions=4, max_function_size=40))

@@ -1,10 +1,19 @@
-"""Tests for lazy incremental decompression (repro.core.lazy)."""
+"""Tests for lazy incremental decompression (repro.core.lazy).
+
+``LazyProgram`` is the one paging core, and ``RemoteProgram`` is a
+``LazyProgram`` over a served container.  Every test class below runs
+on a local program; its ``TestRemote*`` twin at the end of the module
+runs the same tests on a ``RemoteProgram`` paging from a live server.
+"""
+
+import hashlib
 
 import pytest
 
 from repro.core import compress
-from repro.core.lazy import lazy_program
+from repro.core.lazy import LazyProgram, lazy_program
 from repro.isa import assemble
+from repro.serve import RemoteProgram, ServeClient, serve_in_thread
 from repro.vm import run_program
 
 SOURCE = """
@@ -30,8 +39,14 @@ end
 
 
 @pytest.fixture()
-def lazy():
-    return lazy_program(compress(assemble(SOURCE)).data)
+def make_lazy():
+    """Container bytes -> a program that pages its functions lazily."""
+    return lazy_program
+
+
+@pytest.fixture()
+def lazy(make_lazy):
+    return make_lazy(compress(assemble(SOURCE)).data)
 
 
 class TestLazyProgram:
@@ -47,11 +62,11 @@ class TestLazyProgram:
         assert lazy.decompressed_functions == {0, 1}
         assert lazy.decompressed_fraction == pytest.approx(0.5)
 
-    def test_output_matches_eager_decompression(self):
+    def test_output_matches_eager_decompression(self, make_lazy):
         program = assemble(SOURCE)
         data = compress(program).data
         eager = run_program(program)
-        lazy = lazy_program(data)
+        lazy = make_lazy(data)
         assert run_program(lazy).output == eager.output
 
     def test_materialized_functions_cached(self, lazy):
@@ -134,25 +149,62 @@ class TestDecompressedFraction:
         lazy.functions[0]
         assert lazy.decompressed_fraction == pytest.approx(0.5)
 
-    def test_two_lazy_views_track_independently(self):
+    def test_two_lazy_views_track_independently(self, make_lazy):
         data = compress(assemble(SOURCE)).data
-        first = lazy_program(data)
-        second = lazy_program(data)
+        first = make_lazy(data)
+        second = make_lazy(data)
         first.functions[0]
         assert first.decompressed_count == 1
         assert second.decompressed_count == 0
 
 
 class TestLazyBenchmark:
-    def test_benchmark_program_runs_lazily(self):
+    def test_benchmark_program_runs_lazily(self, make_lazy):
         from repro.workloads import benchmark_program, clear_cache
 
         program = benchmark_program("compress", scale=0.5)
         data = compress(program).data
-        lazy = lazy_program(data)
+        lazy = make_lazy(data)
         eager = run_program(program, fuel=3_000_000)
         result = run_program(lazy, fuel=3_000_000)
         assert result.output == eager.output
         # A phased driver never touches everything.
         assert 0 < lazy.decompressed_count <= len(program.functions)
         clear_cache()
+
+
+@pytest.fixture(scope="module")
+def server():
+    with serve_in_thread() as handle:
+        yield handle
+
+
+class RemoteArm:
+    """Re-runs the inherited tests on a ``RemoteProgram``."""
+
+    @pytest.fixture()
+    def make_lazy(self, server):
+        with ServeClient(*server.address) as client:
+            yield lambda data: RemoteProgram(client, data)
+
+
+class TestRemoteProgram(RemoteArm, TestLazyProgram):
+    def test_is_a_lazy_program_over_the_served_container(self, make_lazy):
+        data = compress(assemble(SOURCE)).data
+        remote = make_lazy(data)
+        assert isinstance(remote, LazyProgram)
+        assert remote.container_id == hashlib.sha256(data).hexdigest()
+        assert remote.meta.function_names == [
+            "main", "used", "never_called", "also_dead"]
+
+
+class TestRemotePrefetch(RemoteArm, TestPrefetch):
+    pass
+
+
+class TestRemoteDecompressedFraction(RemoteArm, TestDecompressedFraction):
+    pass
+
+
+class TestRemoteBenchmark(RemoteArm, TestLazyBenchmark):
+    pass

@@ -85,5 +85,5 @@ class TestReaderAccessors:
         reader = open_container(container_bytes)
         program = assemble(SOURCE)
         for findex, fn in enumerate(program.functions):
-            decoded = reader.decoded_items(findex)
-            assert sum(item.length for item in decoded) == len(fn.insns)
+            planes = reader.item_planes(findex)
+            assert sum(planes.lengths) == len(fn.insns)

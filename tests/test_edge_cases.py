@@ -7,6 +7,7 @@ from repro.core.items import EntryInfo, ItemStreamError, encode_items
 from repro.isa import Function, Instruction, Op, Program, assemble
 from repro.isa.encoding import decode_program, encode_program
 from repro.jit import PERMANENT_SIZE_THRESHOLD, TranslationBuffer
+from repro.kernels import KIND_CALL
 from repro.vm import run_program
 
 
@@ -110,10 +111,11 @@ class TestItemEdges:
 
         blob = encode_items([EntryRef(base_ids=(5,), call_target=40000)],
                             {(5,): 0}, info)
-        from repro.core.items import decode_items
+        from repro.core.items import decode_item_planes
 
-        items = decode_items(blob, info)
-        assert items[0].call_target == 40000
+        planes = decode_item_planes(blob, info)
+        assert planes.kinds == [KIND_CALL]
+        assert planes.values == [40000]
 
     def test_call_target_too_large_rejected(self):
         info = {0: EntryInfo(length=1, is_call=True, target_size=1)}

@@ -9,7 +9,7 @@ end to end.
 from hypothesis import given, settings
 
 from repro.core import compress, decompress, open_container
-from repro.core.copy_phase import copy_translate
+from repro.core.copy_phase import copy_translate_planes
 from repro.core.lazy import lazy_program
 from repro.jit import BlockTranslator, build_tables
 from repro.vm import run_program
@@ -43,9 +43,9 @@ def test_property_block_translation_stitches_to_whole_function(program):
     tables = build_tables(reader)
     translator = BlockTranslator(reader, tables)
     for findex in range(reader.function_count):
-        items = reader.decoded_items(findex)
+        planes = reader.item_planes(findex)
         table = tables.for_function(reader, findex)
-        whole = copy_translate(items, table)
+        whole = copy_translate_planes(planes, table)
         fragments = translator.translate_whole_function(findex)
         stitched = bytearray()
         hole_positions = set()
@@ -81,6 +81,6 @@ def test_property_item_counts_consistent(program):
     dictionary = build_dictionary(program)
     reader = open_container(compress(program).data)
     for findex in range(reader.function_count):
-        decoded = reader.decoded_items(findex)
+        planes = reader.item_planes(findex)
         refs = dictionary.function_refs[findex]
-        assert [item.length for item in decoded] == [ref.length for ref in refs]
+        assert planes.lengths == [ref.length for ref in refs]

@@ -16,7 +16,7 @@ when tables built for another container are used.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -28,11 +28,10 @@ from repro.core.copy_phase import (
     TranslatedFunction,
     copy_translate_planes,
 )
-from repro.core.items import DecodedItem, planes_to_items
 from repro.core.layout import SegmentLayout
 from repro.errors import CorruptContainer, ReproError
 from repro.isa import assemble
-from repro.kernels import KIND_PLAIN, ItemPlanes
+from repro.kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN, ItemPlanes
 from repro.jit import (
     BlockTranslator,
     Translator,
@@ -93,26 +92,27 @@ def _oracle_patch(code: bytearray, offset: int, size: int, value: int) -> None:
         size, "little")
 
 
-def _oracle_copy(items: Sequence[DecodedItem],
+def _oracle_copy(planes: ItemPlanes,
                  table: Dict[int, TableEntry]) -> TranslatedFunction:
     """Algorithm 3, one item at a time, over a dict table."""
     code = bytearray()
     item_offsets: List[int] = []
     relocations: List[CallRelocation] = []
     pending: List[Tuple[int, int, int]] = []
-    for item_index, item in enumerate(items):
-        entry = table.get(item.dict_index)
+    items = zip(planes.indices, planes.kinds, planes.values)
+    for item_index, (dict_index, kind, value) in enumerate(items):
+        entry = table.get(dict_index)
         if entry is None:
             raise CopyPhaseError(
-                f"no instruction-table entry for index {item.dict_index}")
+                f"no instruction-table entry for index {dict_index}")
         start = len(code)
         item_offsets.append(start)
         code += entry.data
-        if item.branch_displacement is not None:
+        if kind == KIND_BRANCH:
             if entry.hole_size == 0 or entry.is_call:
                 raise CopyPhaseError("branch target on an entry without a branch hole")
-            target_item = item_index + 1 + item.branch_displacement
-            if not 0 <= target_item < len(items):
+            target_item = item_index + 1 + value
+            if not 0 <= target_item < planes.count:
                 raise CopyPhaseError("branch target item out of range")
             hole_at = start + entry.hole_offset
             if target_item <= item_index:
@@ -120,12 +120,12 @@ def _oracle_copy(items: Sequence[DecodedItem],
                               item_offsets[target_item] - (hole_at + entry.hole_size))
             else:
                 pending.append((hole_at, entry.hole_size, target_item))
-        elif item.call_target is not None:
+        elif kind == KIND_CALL:
             if entry.hole_size == 0 or not entry.is_call:
                 raise CopyPhaseError("call target on an entry without a call hole")
             relocations.append(CallRelocation(
                 hole_offset=start + entry.hole_offset,
-                hole_size=entry.hole_size, callee=item.call_target))
+                hole_size=entry.hole_size, callee=value))
     for hole_at, hole_size, target_item in pending:
         _oracle_patch(code, hole_at, hole_size,
                       item_offsets[target_item] - (hole_at + hole_size))
@@ -146,7 +146,7 @@ def test_tables_and_translations_match_oracle(name, backend):
     translator = Translator(reader, tables)
     for findex in range(reader.function_count):
         got = translator.translate_function(findex).translated
-        want = _oracle_copy(planes_to_items(reader.item_planes(findex)),
+        want = _oracle_copy(reader.item_planes(findex),
                             oracles[reader.segment_of_function[findex]])
         assert got.code == want.code, findex
         assert got.call_relocations == want.call_relocations, findex

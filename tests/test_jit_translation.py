@@ -4,15 +4,15 @@ import pytest
 
 from repro.core import (
     CopyPhaseError,
-    DecodedItem,
     TableEntry,
     compress,
-    copy_translate,
     open_container,
     read_patched_displacement,
 )
+from repro.core.copy_phase import copy_translate_planes
 from repro.isa import assemble
 from repro.jit import Translator, build_tables
+from repro.kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN, ItemPlanes
 from repro.vm import lower_function
 
 EXAMPLE = """
@@ -40,6 +40,15 @@ def _translator(text=EXAMPLE):
     return program, Translator(reader)
 
 
+def _planes(*items):
+    """Planes of one-instruction items given as ``(index, kind, value)``."""
+    count = len(items)
+    return ItemPlanes(indices=[index for index, _, _ in items],
+                      kinds=[kind for _, kind, _ in items],
+                      values=[value for _, _, value in items],
+                      lengths=[1] * count, starts=list(range(count)))
+
+
 class TestCopyPhaseUnit:
     def _table(self):
         return (
@@ -50,35 +59,28 @@ class TestCopyPhaseUnit:
         )
 
     def test_plain_items_concatenate(self):
-        items = [DecodedItem(dict_index=0, length=1),
-                 DecodedItem(dict_index=0, length=1)]
-        out = copy_translate(items, self._table())
+        items = _planes((0, KIND_PLAIN, 0), (0, KIND_PLAIN, 0))
+        out = copy_translate_planes(items, self._table())
         assert bytes(out.code) == b"\xAA\xBB\xAA\xBB"
         assert out.item_offsets == [0, 2]
 
     def test_backward_branch_patched_immediately(self):
-        items = [
-            DecodedItem(dict_index=0, length=1),
-            DecodedItem(dict_index=1, length=1, branch_displacement=-2),
-        ]
-        out = copy_translate(items, self._table())
+        items = _planes((0, KIND_PLAIN, 0), (1, KIND_BRANCH, -2))
+        out = copy_translate_planes(items, self._table())
         # hole at offset 3; branch targets item 0 at offset 0; native
         # displacement = 0 - (3+1) = -4
         assert read_patched_displacement(out.code, 3, 1) == -4
 
     def test_forward_branch_patched_in_step3(self):
-        items = [
-            DecodedItem(dict_index=1, length=1, branch_displacement=1),
-            DecodedItem(dict_index=0, length=1),
-            DecodedItem(dict_index=0, length=1),
-        ]
-        out = copy_translate(items, self._table())
+        items = _planes((1, KIND_BRANCH, 1), (0, KIND_PLAIN, 0),
+                        (0, KIND_PLAIN, 0))
+        out = copy_translate_planes(items, self._table())
         # hole at 1..2, target = item 2 at offset 4: disp = 4 - 2 = 2
         assert read_patched_displacement(out.code, 1, 1) == 2
 
     def test_call_generates_relocation(self):
-        items = [DecodedItem(dict_index=2, length=1, call_target=5)]
-        out = copy_translate(items, self._table())
+        items = _planes((2, KIND_CALL, 5))
+        out = copy_translate_planes(items, self._table())
         assert len(out.call_relocations) == 1
         reloc = out.call_relocations[0]
         assert reloc.callee == 5
@@ -87,17 +89,17 @@ class TestCopyPhaseUnit:
 
     def test_unknown_index_rejected(self):
         with pytest.raises(CopyPhaseError, match="no instruction-table entry"):
-            copy_translate([DecodedItem(dict_index=9, length=1)], self._table())
+            copy_translate_planes(_planes((9, KIND_PLAIN, 0)), self._table())
 
     def test_branch_into_nowhere_rejected(self):
-        items = [DecodedItem(dict_index=1, length=1, branch_displacement=5)]
+        items = _planes((1, KIND_BRANCH, 5))
         with pytest.raises(CopyPhaseError, match="out of range"):
-            copy_translate(items, self._table())
+            copy_translate_planes(items, self._table())
 
     def test_target_on_holeless_entry_rejected(self):
-        items = [DecodedItem(dict_index=0, length=1, branch_displacement=0)]
+        items = _planes((0, KIND_BRANCH, 0))
         with pytest.raises(CopyPhaseError, match="no branch hole"):
-            copy_translate(items, self._table())
+            copy_translate_planes(items, self._table())
 
 
 class TestInstructionTables:

@@ -25,12 +25,11 @@ from repro import kernels
 from repro.core import compress, decompress
 import repro.core.items as items_mod
 from repro.core.items import (
-    DecodedItem,
     EntryInfo,
     decode_item_planes,
-    planes_to_items,
     resolve_plane_targets,
 )
+from repro.kernels import KIND_PLAIN
 from repro.errors import ReproError
 from repro.faults.injector import ContainerCorruptor
 from repro.lz import lz77
@@ -138,8 +137,12 @@ def test_item_planes_identical_on_valid_streams(stream):
     assert outcome[0] == "ok"
     planes = outcome[1]
     assert planes.count == len(planes.kinds) == len(planes.values)
-    items = planes_to_items(planes)
-    assert all(isinstance(item, DecodedItem) for item in items)
+    assert planes.count == len(planes.lengths) == len(planes.starts)
+    assert planes.lengths == [table[index].length for index in planes.indices]
+    assert planes.starts == [sum(planes.lengths[:i])
+                             for i in range(planes.count)]
+    assert all(value == 0 for kind, value in zip(planes.kinds, planes.values)
+               if kind == KIND_PLAIN)
 
 
 @given(item_streams())
@@ -174,7 +177,7 @@ def test_corrupt_item_streams_fail_identically(stream, data):
 
     def decode():
         planes = decode_item_planes(corrupted, table)
-        return planes_to_items(planes), resolve_plane_targets(planes)
+        return planes, resolve_plane_targets(planes)
 
     assert_identical(decode)
 

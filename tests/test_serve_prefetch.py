@@ -15,7 +15,6 @@ from repro.core import compress
 from repro.isa import assemble
 from repro.profile import AccessProfile, build_plan
 from repro.serve import (
-    RemoteProgram,
     ServeClient,
     ServerConfig,
     serve_in_thread,
@@ -135,40 +134,3 @@ class TestServerPrefetch:
                 text = client.metrics_text()
                 assert "serve_prefetch_issued_total" in text
                 assert "serve_prefetch_hits_total" in text
-
-
-class TestRemoteProgramPrefetch:
-    def test_hot_set_prefetch_from_bytes(self, profiled_container, program):
-        from repro.profile import MarkovPredictor
-
-        with serve_in_thread() as handle:
-            with ServeClient(*handle.address) as client:
-                remote = RemoteProgram(
-                    client, profiled_container, predictor=MarkovPredictor()
-                )
-                assert remote.hints is not None
-                fetched = remote.prefetch_hot()
-                assert fetched == len(remote.hints.hot)
-                assert remote.decompressed_count == fetched
-
-    def test_predicted_prefetch_follows_chain(self, profiled_container):
-        from repro.profile import MarkovPredictor
-
-        with serve_in_thread() as handle:
-            with ServeClient(*handle.address) as client:
-                remote = RemoteProgram(
-                    client, profiled_container, predictor=MarkovPredictor()
-                )
-                remote.functions[0]
-                fetched = remote.prefetch_predicted(depth=2)
-                assert fetched > 0
-                # The hint chain predicts the sequential successors.
-                assert 1 in remote.decompressed_functions
-
-    def test_id_only_program_has_no_hints(self, profiled_container):
-        with serve_in_thread() as handle:
-            with ServeClient(*handle.address) as client:
-                cid, _, _ = client.put(profiled_container)
-                remote = RemoteProgram(client, cid)
-                assert remote.hints is None
-                assert remote.prefetch_hot() == 0

@@ -168,6 +168,41 @@ class TestCommands:
         assert "result: OK" in capsys.readouterr().out
 
 
+class TestErrorReporting:
+    """Errors reach the user as one ``error:`` line, never a traceback."""
+
+    @pytest.fixture()
+    def garbage(self, tmp_path):
+        path = tmp_path / "garbage.ssd"
+        path.write_bytes(b"garbage")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["decompress"], ["inspect"], ["inspect", "--json"], ["run"],
+        ["run", "--lazy"],
+    ], ids=" ".join)
+    def test_corrupt_container_exits_1(self, garbage, argv, capsys):
+        assert main(argv + [str(garbage)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad magic")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["decompress", "inspect", "run",
+                                         "verify"])
+    def test_missing_container_is_a_tool_error(self, tmp_path, command, capsys):
+        missing = tmp_path / "missing.ssd"
+        assert main([command, str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+    def test_unreadable_container_is_a_tool_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}")
+
+    def test_out_of_fuel_exits_1(self, ssd_file, capsys):
+        assert main(["run", str(ssd_file), "--fuel", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: exceeded 2 steps")
+
+
 class TestCodecsCommand:
     def test_codecs_lists_registry(self, capsys):
         assert main(["codecs"]) == 0
