@@ -203,7 +203,8 @@ def test_cluster_throughput_with_and_without_dead_shard(benchmark):
             cluster.kill_shard(cluster.shard_ids[0])
             degraded = _drive_cluster(cluster, container_id, function_count,
                                       CLIENTS, REQUESTS_PER_CLIENT // 2)
-            failovers = cluster.router.metrics.failovers
+            failovers = \
+                cluster.routers[0].metrics.snapshot()["failovers_total"]
         return healthy, degraded, failovers
 
     (healthy, degraded, failovers) = benchmark.pedantic(

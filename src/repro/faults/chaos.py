@@ -309,7 +309,7 @@ def chaos_sweep(seed: int = 0, clients: int = 8, duration: float = 3.0,
                 def hook(cid: str, findex: int, _t: float = bounded) -> None:
                     time.sleep(_t)
 
-                handle.server.decode_hook = hook
+                handle.service.decode_hook = hook
                 hooks[shard_id] = hook
                 note("hang", shard_id, f"decodes sleep {bounded:.1f}s")
             else:  # flake
@@ -320,7 +320,7 @@ def chaos_sweep(seed: int = 0, clients: int = 8, duration: float = 3.0,
         for shard_id in hooks:
             handle = cluster.handles[shard_id]
             if handle is not None:
-                handle.server.decode_hook = None
+                handle.service.decode_hook = None
     finally:
         load.finish()
     report.requests_total = load.requests

@@ -32,9 +32,9 @@ Quick start::
 
 Cluster::
 
-    from repro.serve import start_cluster_in_thread
+    from repro.serve import ClusterConfig, LocalCluster
 
-    with start_cluster_in_thread(shards=3, replication=2) as cluster:
+    with LocalCluster(ClusterConfig(shards=3, replication=2)) as cluster:
         with cluster.client(retries=4) as client:
             container_id = client.put(container_bytes)
 
@@ -63,7 +63,6 @@ from .cluster import (
     ClusterConfig,
     LocalCluster,
     ShardSpec,
-    start_cluster_in_thread,
 )
 from .health import CircuitBreaker, ShardHealth
 from .metrics import RouterMetrics, ServerMetrics, percentile
@@ -74,20 +73,14 @@ from .protocol import (
     Message,
 )
 from .ring import HashRing
-from .router import (
-    ClusterRouter,
-    RouterConfig,
-    RouterHandle,
-    router_in_thread,
-)
+from .router import ClusterRouter, RouterConfig, router_in_thread
 from .server import (
     DEFAULT_DRAIN_TIMEOUT,
     SSDServer,
     ServerConfig,
-    ServerHandle,
-    read_frame_async,
     serve_in_thread,
 )
+from .service import ServeHandle, read_frame_async
 from .store import AdmissionError, ContainerStore, container_id_of
 
 __all__ = [
@@ -114,12 +107,11 @@ __all__ = [
     "RemoteProgram",
     "RetryPolicy",
     "RouterConfig",
-    "RouterHandle",
     "RouterMetrics",
     "SSDServer",
     "ServeClient",
+    "ServeHandle",
     "ServerConfig",
-    "ServerHandle",
     "ServerMetrics",
     "ShardHealth",
     "ShardSpec",
@@ -130,5 +122,4 @@ __all__ = [
     "remote_program",
     "router_in_thread",
     "serve_in_thread",
-    "start_cluster_in_thread",
 ]

@@ -28,8 +28,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from .client import RetryPolicy, ServeClient
-from .router import RouterConfig, RouterHandle, router_in_thread
-from .server import ServerConfig, ServerHandle, serve_in_thread
+from .router import RouterConfig, router_in_thread
+from .server import ServerConfig, serve_in_thread
+from .service import ServeHandle
 from .store import ContainerStore
 
 #: default shard count for a local cluster
@@ -92,9 +93,9 @@ class LocalCluster:
         #: per-shard stores: the "disk" that survives kill/restart
         self.stores: Dict[str, ContainerStore] = {
             shard_id: ContainerStore() for shard_id in self.shard_ids}
-        self.handles: Dict[str, Optional[ServerHandle]] = {
+        self.handles: Dict[str, Optional[ServeHandle]] = {
             shard_id: None for shard_id in self.shard_ids}
-        self.routers: List[RouterHandle] = []
+        self.routers: List[ServeHandle] = []
         self._lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
@@ -113,7 +114,7 @@ class LocalCluster:
                 addresses, config=replace(router_config, port=0)))
         return self
 
-    def _start_shard(self, shard_id: str) -> ServerHandle:
+    def _start_shard(self, shard_id: str) -> ServeHandle:
         server_config = replace(self.config.server or ServerConfig(),
                                 host=self.config.host, port=0)
         return serve_in_thread(store=self.stores[shard_id],
@@ -129,7 +130,7 @@ class LocalCluster:
                 self.handles[shard_id] = None
 
     def __enter__(self) -> "LocalCluster":
-        if self.router is None:
+        if not self.routers:
             self.start()
         return self
 
@@ -139,20 +140,12 @@ class LocalCluster:
     # -- introspection -------------------------------------------------------
 
     @property
-    def router(self) -> Optional[RouterHandle]:
-        """The first *live* router handle (back-compat single-router view)."""
-        for handle in self.routers:
-            if handle.is_alive():
-                return handle
-        return None
-
-    @property
     def address(self) -> tuple:
         """A live router's (host, port) — what clients connect to."""
-        router = self.router
-        if router is None:
+        addresses = self.addresses
+        if not addresses:
             raise RuntimeError("cluster is not started (or every router died)")
-        return router.address
+        return addresses[0]
 
     @property
     def addresses(self) -> List[tuple]:
@@ -183,10 +176,10 @@ class LocalCluster:
         return out
 
     def replicas_for(self, container_id: str) -> List[str]:
-        router = self.router
-        if router is None:
+        # Every router places every key the same way (one fixed ring).
+        if not self.routers:
             raise RuntimeError("cluster is not started")
-        return router.router.replicas_for(container_id)
+        return self.routers[0].service.replicas_for(container_id)
 
     def client(self, retries: int = 4,
                retry_policy: Optional[RetryPolicy] = None,
@@ -236,7 +229,8 @@ class LocalCluster:
             self.handles[shard_id] = handle
             for router in self.routers:
                 if router.is_alive():
-                    router.update_address(shard_id, *handle.address)
+                    router.call(router.service.update_address, shard_id,
+                                *handle.address)
             return ShardSpec(shard_id=shard_id, host=self.config.host,
                              port=handle.port)
 
@@ -254,22 +248,10 @@ class LocalCluster:
             return address
 
 
-def start_cluster_in_thread(shards: int = DEFAULT_SHARDS,
-                            replication: int = DEFAULT_REPLICATION,
-                            router: Optional[RouterConfig] = None,
-                            server: Optional[ServerConfig] = None,
-                            routers: int = 1) -> LocalCluster:
-    """Start a :class:`LocalCluster` and return it ready for clients."""
-    config = ClusterConfig(shards=shards, replication=replication,
-                           router=router, server=server, routers=routers)
-    return LocalCluster(config).start()
-
-
 __all__ = [
     "ClusterConfig",
     "DEFAULT_REPLICATION",
     "DEFAULT_SHARDS",
     "LocalCluster",
     "ShardSpec",
-    "start_cluster_in_thread",
 ]

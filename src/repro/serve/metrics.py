@@ -37,10 +37,10 @@ Registry families, all prefixed ``serve_``:
   excluded)
 
 Latency *percentiles* (p50/p99/max in the STATS payload) still come from
-a bounded per-request-type reservoir (the most recent
-:data:`RESERVOIR_SIZE` samples) — exact for test-sized runs, constant
-memory under unbounded traffic — while the registry histogram gives
-scrapers fixed-bucket cumulative counts.
+bounded reservoirs (:class:`LatencyReservoirs`: the most recent
+:data:`RESERVOIR_SIZE` samples per request type) — exact for test-sized
+runs, constant memory under unbounded traffic — while the registry
+histogram gives scrapers fixed-bucket cumulative counts.
 
 Per-function decode attribution (``decodes_for``, the acceptance check
 "only the functions reached were decompressed, exactly once") keeps its
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Union
 
 from ..obs import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
@@ -71,16 +71,89 @@ def percentile(samples: List[float], fraction: float) -> float:
     return ordered[rank]
 
 
-class ServerMetrics:
+class LatencyReservoirs:
+    """The most recent latency samples per key, summarized on demand."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._samples: Dict[str, Deque[float]] = {}
+
+    def add(self, key: str, seconds: float) -> None:
+        with self._lock:
+            reservoir = self._samples.get(key)
+            if reservoir is None:
+                reservoir = deque(maxlen=RESERVOIR_SIZE)
+                self._samples[key] = reservoir
+            reservoir.append(seconds)
+
+    def summary(self, key: str) -> Dict[str, Union[int, float]]:
+        """``count`` and ``p50_ms``/``p99_ms``/``max_ms`` for one key."""
+        with self._lock:
+            samples = list(self._samples.get(key, ()))
+        return {
+            "count": len(samples),
+            "p50_ms": percentile(samples, 0.50) * 1e3,
+            "p99_ms": percentile(samples, 0.99) * 1e3,
+            "max_ms": (max(samples) * 1e3) if samples else 0.0,
+        }
+
+    def summaries(self) -> Dict[str, Dict[str, Union[int, float]]]:
+        """:meth:`summary` of every key, in key order."""
+        with self._lock:
+            keys = sorted(self._samples)
+        return {key: self.summary(key) for key in keys}
+
+
+class _RequestMetrics:
+    """What every frame service counts per answer: requests by wire type,
+    ERROR frames by code, and latency by wire type (a histogram for
+    scrapers, reservoirs for the STATS percentiles)."""
+
+    def __init__(self, registry: Optional[MetricsRegistry],
+                 prefix: str) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._requests = self.registry.counter(
+            f"{prefix}_requests_total", "Requests answered, by wire type.")
+        self._errors = self.registry.counter(
+            f"{prefix}_errors_total", "ERROR frames sent, by error code name.")
+        self._latency_hist = self.registry.histogram(
+            f"{prefix}_request_seconds", "Request latency, by wire type.",
+            buckets=DEFAULT_TIME_BUCKETS)
+        self._latency = LatencyReservoirs()
+
+    def _record_answer(self, type_name: str, seconds: float) -> None:
+        self._requests.inc(type=type_name)
+        self._latency_hist.observe(seconds, type=type_name)
+        self._latency.add(type_name, seconds)
+
+    def record_error(self, code_name: str) -> None:
+        self._errors.inc(code=code_name)
+
+    def expose_text(self) -> str:
+        """Prometheus text exposition of this service's registry."""
+        return self.registry.expose_text()
+
+    def _answers_snapshot(self) -> dict:
+        """The requests/errors/latency part of a STATS payload."""
+        requests = {dict(labels).get("type", ""): count
+                    for labels, count in self._requests.collect().items()}
+        errors = {dict(labels).get("code", ""): count
+                  for labels, count in self._errors.collect().items()}
+        return {
+            "requests": dict(sorted(requests.items())),
+            "requests_total": sum(requests.values()),
+            "errors": dict(sorted(errors.items())),
+            "errors_total": sum(errors.values()),
+            "latency": self._latency.summaries(),
+        }
+
+
+class ServerMetrics(_RequestMetrics):
     """Thread-safe server counters backed by a metrics registry."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        super().__init__(registry, "serve")
         self._lock = threading.Lock()
-        self._requests = self.registry.counter(
-            "serve_requests_total", "Requests answered, by wire type.")
-        self._errors = self.registry.counter(
-            "serve_errors_total", "ERROR frames sent, by error code name.")
         self._bytes_in = self.registry.counter(
             "serve_bytes_in_total", "Request body bytes received.")
         self._bytes_out = self.registry.counter(
@@ -115,9 +188,6 @@ class ServerMetrics:
         self._prefetch_hits = self.registry.counter(
             "serve_prefetch_hits_total",
             "GET_FUNCTION requests answered from a prefetched cache entry.")
-        self._latency_hist = self.registry.histogram(
-            "serve_request_seconds", "Request latency, by wire type.",
-            buckets=DEFAULT_TIME_BUCKETS)
         self._decode_hist = self.registry.histogram(
             "serve_decode_seconds",
             "Cache-miss decode latency (the serve.decode span).",
@@ -127,10 +197,8 @@ class ServerMetrics:
         #: increment this — the acceptance check "only the functions
         #: reached were decompressed, exactly once" reads it directly.
         self.decode_counts: Counter = Counter()
-        self._latency: Dict[str, Deque[float]] = {}
-        #: cache-miss decode latency reservoir (mirrors the per-type
-        #: request reservoirs: exact percentiles for test-sized runs).
-        self._decode_latency: Deque[float] = deque(maxlen=RESERVOIR_SIZE)
+        #: cache-miss decode latency, under the one key "decode"
+        self._decode_latency = LatencyReservoirs()
 
     # -- recording ----------------------------------------------------------
 
@@ -144,19 +212,9 @@ class ServerMetrics:
 
     def record_request(self, type_name: str, seconds: float,
                        bytes_in: int, bytes_out: int) -> None:
-        self._requests.inc(type=type_name)
+        self._record_answer(type_name, seconds)
         self._bytes_in.inc(bytes_in)
         self._bytes_out.inc(bytes_out)
-        self._latency_hist.observe(seconds, type=type_name)
-        with self._lock:
-            reservoir = self._latency.get(type_name)
-            if reservoir is None:
-                reservoir = deque(maxlen=RESERVOIR_SIZE)
-                self._latency[type_name] = reservoir
-            reservoir.append(seconds)
-
-    def record_error(self, code_name: str) -> None:
-        self._errors.inc(code=code_name)
 
     def record_timeout(self) -> None:
         self._timeouts.inc()
@@ -185,10 +243,9 @@ class ServerMetrics:
         self._decodes.inc()
         if seconds is not None:
             self._decode_hist.observe(seconds)
+            self._decode_latency.add("decode", seconds)
         with self._lock:
             self.decode_counts[(container_id, findex)] += 1
-            if seconds is not None:
-                self._decode_latency.append(seconds)
 
     # -- reading ------------------------------------------------------------
 
@@ -199,49 +256,21 @@ class ServerMetrics:
                     for (cid, findex), count in self.decode_counts.items()
                     if cid == container_id}
 
-    def expose_text(self) -> str:
-        """Prometheus text exposition of this server's registry."""
-        return self.registry.expose_text()
-
     def snapshot(self, cache_stats: Optional[dict] = None,
                  store_stats: Optional[dict] = None,
                  admission_stats: Optional[dict] = None) -> dict:
         """JSON-safe, stable-keyed metrics snapshot (the STATS payload)."""
         with self._lock:
-            latency = {}
-            for type_name, reservoir in sorted(self._latency.items()):
-                samples = list(reservoir)
-                latency[type_name] = {
-                    "count": len(samples),
-                    "p50_ms": percentile(samples, 0.50) * 1e3,
-                    "p99_ms": percentile(samples, 0.99) * 1e3,
-                    "max_ms": (max(samples) * 1e3) if samples else 0.0,
-                }
-            decode_samples = list(self._decode_latency)
-            decode_latency = {
-                "count": len(decode_samples),
-                "p50_ms": percentile(decode_samples, 0.50) * 1e3,
-                "p99_ms": percentile(decode_samples, 0.99) * 1e3,
-                "max_ms": (max(decode_samples) * 1e3) if decode_samples
-                          else 0.0,
-            }
             decoded: Dict[str, Dict[str, int]] = {}
             for (cid, _findex), count in self.decode_counts.items():
                 entry = decoded.setdefault(cid, {"functions": 0, "decodes": 0})
                 entry["functions"] += 1
                 entry["decodes"] += count
             decodes_total = sum(self.decode_counts.values())
-        requests = {dict(labels).get("type", ""): count
-                    for labels, count in self._requests.collect().items()}
-        errors = {dict(labels).get("code", ""): count
-                  for labels, count in self._errors.collect().items()}
         opened = int(self._connections.value(event="opened"))
         closed = int(self._connections.value(event="closed"))
-        snapshot = {
-            "requests": dict(sorted(requests.items())),
-            "requests_total": sum(requests.values()),
-            "errors": dict(sorted(errors.items())),
-            "errors_total": sum(errors.values()),
+        snapshot = self._answers_snapshot()
+        snapshot.update({
             "bytes_in": int(self._bytes_in.value()),
             "bytes_out": int(self._bytes_out.value()),
             "connections": {
@@ -252,8 +281,7 @@ class ServerMetrics:
             "protocol_failures": int(self._protocol_failures.value()),
             "timeouts": int(self._timeouts.value()),
             "coalesced": int(self._coalesced.value()),
-            "latency": latency,
-            "decode_latency": decode_latency,
+            "decode_latency": self._decode_latency.summary("decode"),
             "decoded": dict(sorted(decoded.items())),
             "decodes_total": decodes_total,
             "delta": {
@@ -265,7 +293,7 @@ class ServerMetrics:
                 "issued": int(self._prefetch_issued.value()),
                 "hits": int(self._prefetch_hits.value()),
             },
-        }
+        })
         if cache_stats is not None:
             snapshot["cache"] = cache_stats
         if store_stats is not None:
@@ -286,23 +314,16 @@ BREAKER_STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
 HOP_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0)
 
 
-class RouterMetrics:
+class RouterMetrics(_RequestMetrics):
     """Thread-safe cluster-router counters backed by a metrics registry.
 
-    Families, all prefixed ``cluster_``, mirror :class:`ServerMetrics`'
-    registry pattern; the router's ``STATS`` payload is a view over them
-    just like a shard's.
+    Families are prefixed ``cluster_`` (``router_`` for the response
+    cache); the per-answer accounting is the shard's, and the router's
+    ``STATS`` payload is a view over the registry just like a shard's.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
-        self._requests = self.registry.counter(
-            "cluster_requests_total",
-            "Requests routed through the cluster front-end, by wire type.")
-        self._errors = self.registry.counter(
-            "cluster_errors_total",
-            "ERROR frames the router sent to clients, by error code name.")
+        super().__init__(registry, "cluster")
         self._shard_state = self.registry.gauge(
             "cluster_shard_state",
             "Health state per shard (0=up 1=suspect 2=draining 3=down).")
@@ -329,10 +350,6 @@ class RouterMetrics:
         self._probe_failures = self.registry.counter(
             "cluster_probe_failures_total",
             "Health probes that failed, by shard.")
-        self._latency_hist = self.registry.histogram(
-            "cluster_request_seconds",
-            "End-to-end routed request latency, by wire type.",
-            buckets=DEFAULT_TIME_BUCKETS)
         self._cache_hits = self.registry.counter(
             "router_cache_hits_total",
             "Routed GETs answered from the router response cache.")
@@ -345,24 +362,13 @@ class RouterMetrics:
         self._cache_bytes = self.registry.gauge(
             "router_cache_bytes",
             "Bytes currently held by the router response cache.")
-        self._latency: Dict[str, Deque[float]] = {}
 
     # -- recording ----------------------------------------------------------
 
     def record_request(self, type_name: str, seconds: float,
                        hops: int) -> None:
-        self._requests.inc(type=type_name)
-        self._latency_hist.observe(seconds, type=type_name)
+        self._record_answer(type_name, seconds)
         self._hops.observe(float(hops))
-        with self._lock:
-            reservoir = self._latency.get(type_name)
-            if reservoir is None:
-                reservoir = deque(maxlen=RESERVOIR_SIZE)
-                self._latency[type_name] = reservoir
-            reservoir.append(seconds)
-
-    def record_error(self, code_name: str) -> None:
-        self._errors.inc(code=code_name)
 
     def record_shard_state(self, shard_id: str, state: str) -> None:
         self._shard_state.set(float(SHARD_STATE_CODES.get(state, 3)),
@@ -400,73 +406,29 @@ class RouterMetrics:
     def record_cache_bytes(self, current_bytes: int) -> None:
         self._cache_bytes.set(float(current_bytes))
 
-    # -- registry-backed views ----------------------------------------------
-
-    @property
-    def requests(self) -> Counter:
-        return Counter({dict(labels).get("type", ""): count
-                        for labels, count in self._requests.collect().items()})
-
-    @property
-    def errors(self) -> Counter:
-        return Counter({dict(labels).get("code", ""): count
-                        for labels, count in self._errors.collect().items()})
-
-    @property
-    def failovers(self) -> int:
-        return int(sum(self._failovers.collect().values()))
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.value())
-
-    @property
-    def unavailable(self) -> int:
-        return int(self._unavailable.value())
-
     # -- reading ------------------------------------------------------------
-
-    def expose_text(self) -> str:
-        """Prometheus text exposition of this router's registry."""
-        return self.registry.expose_text()
 
     def snapshot(self, shard_states: Optional[Dict[str, str]] = None) -> dict:
         """JSON-safe router stats (the router's STATS payload)."""
-        with self._lock:
-            latency = {}
-            for type_name, reservoir in sorted(self._latency.items()):
-                samples = list(reservoir)
-                latency[type_name] = {
-                    "count": len(samples),
-                    "p50_ms": percentile(samples, 0.50) * 1e3,
-                    "p99_ms": percentile(samples, 0.99) * 1e3,
-                    "max_ms": (max(samples) * 1e3) if samples else 0.0,
-                }
-        requests = self.requests
-        errors = self.errors
         failovers = {dict(labels).get("shard", ""): int(count)
                      for labels, count in self._failovers.collect().items()}
         probe_failures = {
             dict(labels).get("shard", ""): int(count)
             for labels, count in self._probe_failures.collect().items()}
-        snapshot = {
-            "requests": dict(sorted(requests.items())),
-            "requests_total": sum(requests.values()),
-            "errors": dict(sorted(errors.items())),
-            "errors_total": sum(errors.values()),
+        snapshot = self._answers_snapshot()
+        snapshot.update({
             "failovers": dict(sorted(failovers.items())),
             "failovers_total": sum(failovers.values()),
-            "retries": self.retries,
-            "unavailable": self.unavailable,
+            "retries": int(self._retries.value()),
+            "unavailable": int(self._unavailable.value()),
             "probe_failures": dict(sorted(probe_failures.items())),
-            "latency": latency,
             "cache": {
                 "hits": int(self._cache_hits.value()),
                 "misses": int(self._cache_misses.value()),
                 "evictions": int(self._cache_evictions.value()),
                 "current_bytes": int(self._cache_bytes.value()),
             },
-        }
+        })
         if shard_states is not None:
             snapshot["shards"] = dict(sorted(shard_states.items()))
         return snapshot
@@ -475,6 +437,7 @@ class RouterMetrics:
 __all__ = [
     "BREAKER_STATE_CODES",
     "HOP_BUCKETS",
+    "LatencyReservoirs",
     "RESERVOIR_SIZE",
     "RouterMetrics",
     "SHARD_STATE_CODES",

@@ -96,6 +96,10 @@ TYPE_NAMES = {
 REQUEST_TYPES = (PUT_CONTAINER, GET_META, GET_FUNCTION, GET_BLOCK, STATS,
                  GET_METRICS, HEALTH, GET_CONTAINER, GET_DELTA)
 
+#: requests a server (shard or router) answers about itself; their body
+#: is empty, and a draining shard keeps answering them
+OBSERVABILITY_TYPES = frozenset((STATS, GET_METRICS, HEALTH))
+
 # -- error codes ------------------------------------------------------------
 
 E_BAD_REQUEST = 1     # unparseable body, unknown type, bad field values
@@ -204,7 +208,7 @@ def read_frame(stream: BinaryIO,
     Returns ``None`` on clean EOF at a frame boundary; raises
     :class:`ProtocolError` on truncation mid-frame, oversized frames, or
     CRC/version mismatch.  This is the synchronous (client-side) reader;
-    the asyncio server has its own equivalent.
+    shards and routers read with ``repro.serve.service.read_frame_async``.
     """
     length_bytes = bytearray()
     while True:
@@ -617,6 +621,12 @@ def build_error(code: int, message: str) -> bytes:
     return writer.getvalue()
 
 
+def error_reply(request: Message, code: int, text: str) -> Message:
+    """The ERROR response to ``request``."""
+    return Message(type=ERROR, request_id=request.request_id,
+                   body=build_error(code, text))
+
+
 def parse_error(body: bytes) -> Tuple[int, str]:
     reader = ByteReader(body)
     code = reader.read_u8()
@@ -661,6 +671,7 @@ __all__ = [
     "HealthStatus",
     "MAX_FRAME_BYTES",
     "Message",
+    "OBSERVABILITY_TYPES",
     "OK_BLOCK",
     "OK_CONTAINER",
     "OK_DELTA",
@@ -696,6 +707,7 @@ __all__ = [
     "decode_instruction_slice",
     "encode_frame",
     "encode_instruction_slice",
+    "error_reply",
     "parse_error",
     "parse_ok_health",
     "parse_get_block",

@@ -43,9 +43,8 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError, ReproError
 from ..obs import TRACER
@@ -54,7 +53,7 @@ from .cache import GhostListAdmission, SharedLRUCache
 from .health import CircuitBreaker, ShardHealth
 from .metrics import RouterMetrics
 from .ring import DEFAULT_VNODES, HashRing
-from .server import read_frame_async
+from .service import FrameService, ServeHandle, read_frame_async, run_in_thread
 from .store import container_id_of
 
 #: how often the router probes every shard with HEALTH (seconds)
@@ -116,7 +115,7 @@ class _Unrouteable(Exception):
     """Internal: this attempt failed in a way that permits failover."""
 
 
-class ClusterRouter:
+class ClusterRouter(FrameService):
     """Asyncio front-end routing wire requests across shard servers."""
 
     def __init__(self, shards: Dict[str, Tuple[str, int]],
@@ -124,10 +123,9 @@ class ClusterRouter:
                  metrics: Optional[RouterMetrics] = None) -> None:
         if not shards:
             raise ValueError("a cluster needs at least one shard")
-        self.config = config or RouterConfig()
+        super().__init__(config or RouterConfig(), metrics or RouterMetrics())
         if self.config.replication < 1:
             raise ValueError("replication must be >= 1")
-        self.metrics = metrics or RouterMetrics()
         self.ring = HashRing(sorted(shards), vnodes=self.config.vnodes)
         self._shards: Dict[str, _Shard] = {}
         for shard_id, address in shards.items():
@@ -143,11 +141,7 @@ class ClusterRouter:
             self._shards[shard_id] = shard
             self.metrics.record_shard_state(shard_id, shard.health.state)
             self.metrics.record_breaker_state(shard_id, shard.breaker.state)
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._probe_task: Optional[asyncio.Task] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._active_requests = 0
         self._rng = random.Random(self.config.seed)
         self._response_cache = (
             SharedLRUCache(
@@ -186,9 +180,9 @@ class ClusterRouter:
     def update_address(self, shard_id: str, host: str, port: int) -> None:
         """Re-point a shard id at a new address (restart after a crash).
 
-        Thread-safe entry point: from outside the router's loop, call via
-        ``loop.call_soon_threadsafe``.  Pooled connections to the old
-        address are discarded.
+        Runs on the router's loop; from another thread, go through
+        ``ServeHandle.call``.  Pooled connections to the old address are
+        discarded.
         """
         shard = self._shards[shard_id]
         shard.address = (host, port)
@@ -201,12 +195,10 @@ class ClusterRouter:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> asyncio.AbstractServer:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        server = await super().start()
         self._probe_task = asyncio.get_running_loop().create_task(
             self._probe_loop())
-        return self._server
+        return server
 
     async def stop(self) -> None:
         task, self._probe_task = self._probe_task, None
@@ -216,16 +208,11 @@ class ClusterRouter:
                 await task
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         for shard in self._shards.values():
             pool, shard.pool = shard.pool, []
             for _reader, writer in pool:
                 writer.close()
-        for writer in list(self._writers):
-            writer.close()
 
     # -- shard I/O -----------------------------------------------------------
 
@@ -283,25 +270,19 @@ class ClusterRouter:
         try:
             response = await self._shard_exchange(
                 shard, probe, timeout=self.config.probe_timeout)
+            draining = (response.type == protocol.OK_HEALTH
+                        and protocol.parse_ok_health(response.body).state
+                        == protocol.HEALTH_DRAINING)
         except (OSError, ProtocolError, asyncio.TimeoutError):
             self.metrics.record_probe_failure(shard.shard_id)
             self._note_health(shard, ok=False)
             return
-        if response.type == protocol.OK_HEALTH:
-            try:
-                status = protocol.parse_ok_health(response.body)
-            except ProtocolError:
-                self.metrics.record_probe_failure(shard.shard_id)
-                self._note_health(shard, ok=False)
-                return
-            if status.state == protocol.HEALTH_DRAINING:
-                self._note_draining(shard)
-            else:
-                self._note_health(shard, ok=True)
+        if draining:
+            self._note_draining(shard)
         else:
             # An ERROR answer still proves liveness (e.g. a pre-HEALTH
             # peer answering E_BAD_REQUEST); a draining shard answers
-            # OK_HEALTH above, so anything framed counts as alive.
+            # OK_HEALTH, so anything else framed counts as alive.
             self._note_health(shard, ok=True)
 
     def _note_health(self, shard: _Shard, ok: bool) -> None:
@@ -343,106 +324,54 @@ class ClusterRouter:
                                                    shard.breaker.state)
         return allowed
 
-    # -- client connections --------------------------------------------------
+    # -- the frame loop's hooks ----------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    message = await read_frame_async(reader,
-                                                     self.config.max_frame)
-                except (ProtocolError, ReproError) as exc:
-                    await self._send_error(writer, 0, protocol.E_BAD_REQUEST,
-                                           str(exc))
-                    return
-                if message is None:
-                    return
-                started = time.perf_counter()
-                self._active_requests += 1
-                try:
-                    with TRACER.span("cluster.route", type=message.type_name,
-                                     request_id=message.request_id) as span:
-                        response, hops = await self._route(message)
-                        span.set_attr("response", response.type_name)
-                        span.set_attr("hops", hops)
-                finally:
-                    self._active_requests -= 1
-                writer.write(protocol.encode_frame(response))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    return
-                self.metrics.record_request(
-                    message.type_name, time.perf_counter() - started,
-                    hops=hops)
-                if response.type == protocol.ERROR:
-                    code = response.body[0] if response.body else 0
-                    self.metrics.record_error(
-                        protocol.ERROR_NAMES.get(code, f"E_{code}"))
-        except ConnectionError:
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+    def _span(self, message: protocol.Message):
+        return TRACER.span("cluster.route", type=message.type_name,
+                           request_id=message.request_id)
 
-    async def _send_error(self, writer: asyncio.StreamWriter,
-                          request_id: int, code: int, message: str) -> None:
-        self.metrics.record_error(protocol.ERROR_NAMES.get(code, f"E_{code}"))
-        try:
-            writer.write(protocol.encode_frame(protocol.Message(
-                type=protocol.ERROR, request_id=request_id,
-                body=protocol.build_error(code, message))))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+    def _record(self, message: protocol.Message, response: protocol.Message,
+                hops: int, seconds: float, frame_bytes: int,
+                state: None) -> None:
+        self.metrics.record_request(message.type_name, seconds, hops=hops)
 
     # -- routing -------------------------------------------------------------
 
-    async def _route(self, message: protocol.Message
-                     ) -> Tuple[protocol.Message, int]:
+    async def _answer(self, message: protocol.Message
+                      ) -> Tuple[protocol.Message, int]:
         """Answer one client request; returns ``(response, shard_hops)``."""
-        def error(code: int, text: str) -> protocol.Message:
-            return protocol.Message(type=protocol.ERROR,
-                                    request_id=message.request_id,
-                                    body=protocol.build_error(code, text))
+        def error(code: int, text: str) -> Tuple[protocol.Message, int]:
+            return protocol.error_reply(message, code, text), 0
 
-        if message.type in (protocol.HEALTH, protocol.STATS,
-                            protocol.GET_METRICS):
-            return await self._answer_locally(message), 0
+        if message.type in protocol.OBSERVABILITY_TYPES:
+            if message.body:
+                return error(protocol.E_BAD_REQUEST,
+                             f"{message.type_name} carries no body")
+            return self._answer_locally(message), 0
         if message.type == protocol.PUT_CONTAINER:
             return await self._route_put(message)
         if message.type in (protocol.GET_META, protocol.GET_FUNCTION,
                             protocol.GET_BLOCK, protocol.GET_CONTAINER):
             if len(message.body) < protocol.CONTAINER_ID_BYTES:
                 return error(protocol.E_BAD_REQUEST,
-                             "request body shorter than a container id"), 0
+                             "request body shorter than a container id")
             container_id = \
                 message.body[:protocol.CONTAINER_ID_BYTES].hex()
             return await self._route_get(message, container_id)
         if message.type == protocol.GET_DELTA:
             if len(message.body) < 2 * protocol.CONTAINER_ID_BYTES:
                 return error(protocol.E_BAD_REQUEST,
-                             "GET_DELTA body shorter than two container ids"), 0
+                             "GET_DELTA body shorter than two container ids")
             target_id = message.body[:protocol.CONTAINER_ID_BYTES].hex()
             return await self._route_delta(message, target_id)
         return error(protocol.E_BAD_REQUEST,
-                     f"unknown request type 0x{message.type:02x}"), 0
+                     f"unknown request type 0x{message.type:02x}")
 
-    async def _answer_locally(self, message: protocol.Message
-                              ) -> protocol.Message:
+    def _answer_locally(self, message: protocol.Message) -> protocol.Message:
         """HEALTH/STATS/GET_METRICS describe the router itself."""
         if message.type == protocol.HEALTH:
-            body = protocol.build_ok_health(
-                protocol.HEALTH_OK, self._active_requests,
-                len(self.live_shards))
+            body = self._health_body(protocol.HEALTH_OK,
+                                     len(self.live_shards))
             return protocol.Message(type=protocol.OK_HEALTH,
                                     request_id=message.request_id, body=body)
         if message.type == protocol.STATS:
@@ -545,14 +474,14 @@ class ClusterRouter:
         self.metrics.record_cache_bytes(stats.current_bytes)
 
     @staticmethod
-    def _is_not_found(response: protocol.Message) -> bool:
+    def _error_code(response: protocol.Message) -> int:
+        """The code an ERROR answer carries; 0 for any other answer."""
         if response.type != protocol.ERROR:
-            return False
+            return 0
         try:
-            code, _text = protocol.parse_error(response.body)
+            return protocol.parse_error(response.body)[0]
         except ProtocolError:
-            return False
-        return code == protocol.E_NOT_FOUND
+            return 0
 
     async def _route_get(self, message: protocol.Message, container_id: str
                          ) -> Tuple[protocol.Message, int]:
@@ -579,7 +508,7 @@ class ClusterRouter:
                     last_reason = str(exc)
                     round_unrouteable = True
                     continue
-                if self._is_not_found(response):
+                if self._error_code(response) == protocol.E_NOT_FOUND:
                     # a replica that missed the PUT (down at the time,
                     # restarted since) lacks the key; another may hold it
                     not_found = response
@@ -602,13 +531,10 @@ class ClusterRouter:
                 # replica we could not ask.
                 return not_found, hops
         self.metrics.record_unavailable()
-        body = protocol.build_error(
-            protocol.E_UNAVAILABLE,
+        return protocol.error_reply(
+            message, protocol.E_UNAVAILABLE,
             f"no live replica for {container_id[:12]}… "
-            f"(replicas {', '.join(replicas)}; last: {last_reason})")
-        return protocol.Message(type=protocol.ERROR,
-                                request_id=message.request_id,
-                                body=body), hops
+            f"(replicas {', '.join(replicas)}; last: {last_reason})"), hops
 
     async def _route_delta(self, message: protocol.Message, target_id: str
                            ) -> Tuple[protocol.Message, int]:
@@ -636,41 +562,29 @@ class ClusterRouter:
                 except _Unrouteable as exc:
                     last_reason = str(exc)
                     continue
-                if response.type == protocol.ERROR:
-                    try:
-                        code, _text = protocol.parse_error(response.body)
-                    except ProtocolError:
-                        code = 0
-                    if code == protocol.E_NO_BASE:
-                        no_base = response
-                        last_reason = f"{shard.shard_id}: E_NO_BASE"
-                        self.metrics.record_failover(shard.shard_id)
-                        continue
+                if self._error_code(response) == protocol.E_NO_BASE:
+                    no_base = response
+                    last_reason = f"{shard.shard_id}: E_NO_BASE"
+                    self.metrics.record_failover(shard.shard_id)
+                    continue
                 if shard.shard_id != replicas[0]:
                     self.metrics.record_failover(shard.shard_id)
                 return response, hops
             if no_base is not None:
                 return no_base, hops
         self.metrics.record_unavailable()
-        body = protocol.build_error(
-            protocol.E_UNAVAILABLE,
+        return protocol.error_reply(
+            message, protocol.E_UNAVAILABLE,
             f"no live replica for {target_id[:12]}… "
-            f"(replicas {', '.join(replicas)}; last: {last_reason})")
-        return protocol.Message(type=protocol.ERROR,
-                                request_id=message.request_id,
-                                body=body), hops
+            f"(replicas {', '.join(replicas)}; last: {last_reason})"), hops
 
     async def _route_put(self, message: protocol.Message
                          ) -> Tuple[protocol.Message, int]:
-        def error(code: int, text: str) -> protocol.Message:
-            return protocol.Message(type=protocol.ERROR,
-                                    request_id=message.request_id,
-                                    body=protocol.build_error(code, text))
-
         try:
             data = protocol.parse_put(message.body)
         except (ProtocolError, ReproError, ValueError) as exc:
-            return error(protocol.E_BAD_REQUEST, str(exc)), 0
+            return protocol.error_reply(message, protocol.E_BAD_REQUEST,
+                                        str(exc)), 0
         container_id = container_id_of(data)
         replicas = self.replicas_for(container_id)
         hops = 0
@@ -711,92 +625,18 @@ class ClusterRouter:
             # idempotent: the store is content-addressed).
             return success, hops
         self.metrics.record_unavailable()
-        return error(protocol.E_UNAVAILABLE,
-                     f"no replica of {container_id[:12]}… accepted the "
-                     f"container (replicas {', '.join(replicas)})"), hops
-
-
-# -- running a router from synchronous code ----------------------------------
-
-class RouterHandle:
-    """A router running on a daemon thread; mirrors ``ServerHandle``."""
-
-    def __init__(self, router: ClusterRouter, loop: asyncio.AbstractEventLoop,
-                 stop_event: asyncio.Event, thread) -> None:
-        self.router = router
-        self._loop = loop
-        self._stop_event = stop_event
-        self._thread = thread
-
-    @property
-    def port(self) -> int:
-        return self.router.port
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.router.config.host, self.router.port)
-
-    @property
-    def metrics(self) -> RouterMetrics:
-        return self.router.metrics
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def update_address(self, shard_id: str, host: str, port: int) -> None:
-        """Thread-safe re-point of a restarted shard."""
-        self._loop.call_soon_threadsafe(
-            self.router.update_address, shard_id, host, port)
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return protocol.error_reply(
+            message, protocol.E_UNAVAILABLE,
+            f"no replica of {container_id[:12]}… accepted the "
+            f"container (replicas {', '.join(replicas)})"), hops
 
 
 def router_in_thread(shards: Dict[str, Tuple[str, int]],
                      config: Optional[RouterConfig] = None,
-                     startup_timeout: float = 10.0) -> RouterHandle:
-    """Start a :class:`ClusterRouter` on a background thread."""
-    import threading
-
-    router = ClusterRouter(shards, config=config)
-    ready = threading.Event()
-    startup_error: list = []
-    boxes: dict = {}
-
-    def runner() -> None:
-        async def main() -> None:
-            stop_event = asyncio.Event()
-            try:
-                await router.start()
-            except Exception as exc:  # noqa: BLE001 - reported to caller
-                startup_error.append(exc)
-                ready.set()
-                return
-            boxes["loop"] = asyncio.get_running_loop()
-            boxes["stop"] = stop_event
-            ready.set()
-            try:
-                await stop_event.wait()
-            finally:
-                await router.stop()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=runner, name="ssd-router", daemon=True)
-    thread.start()
-    if not ready.wait(startup_timeout):
-        raise RuntimeError(f"router failed to start within {startup_timeout}s")
-    if startup_error:
-        raise startup_error[0]
-    return RouterHandle(router, boxes["loop"], boxes["stop"], thread)
+                     startup_timeout: float = 10.0) -> ServeHandle:
+    """Start a :class:`ClusterRouter` on a background thread
+    (see :func:`~repro.serve.service.run_in_thread`)."""
+    return run_in_thread(ClusterRouter(shards, config=config), startup_timeout)
 
 
 __all__ = [
@@ -806,6 +646,5 @@ __all__ = [
     "DEFAULT_PROBE_TIMEOUT",
     "DEFAULT_ROUTE_ROUNDS",
     "RouterConfig",
-    "RouterHandle",
     "router_in_thread",
 ]

@@ -43,12 +43,12 @@ from ..errors import (
     TruncatedStream,
     UnavailableError,
 )
-from ..lz.varint import decode_uvarint
 from ..obs import TRACER
 from ..profile.markov import MarkovPredictor
 from . import protocol
 from .cache import DEFAULT_CACHE_BYTES, GhostListAdmission, SharedLRUCache
 from .metrics import ServerMetrics
+from .service import FrameService, ServeHandle, run_in_thread
 from .store import AdmissionError, ContainerStore, container_id_of
 
 #: default ceiling on simultaneous decode threads
@@ -103,55 +103,19 @@ def _error_code_for(exc: ReproError) -> int:
     return protocol.E_INTERNAL
 
 
-async def read_frame_async(reader: asyncio.StreamReader,
-                           max_frame: int = protocol.MAX_FRAME_BYTES
-                           ) -> Optional[protocol.Message]:
-    """Asyncio twin of :func:`protocol.read_frame`; ``None`` on clean EOF.
-
-    Shared between the shard server and the cluster router (both sit on
-    the receiving end of the same framing).
-    """
-    length_bytes = bytearray()
-    while True:
-        try:
-            chunk = await reader.readexactly(1)
-        except asyncio.IncompleteReadError:
-            if not length_bytes:
-                return None
-            raise ProtocolError("connection closed mid frame-length varint")
-        length_bytes += chunk
-        if not chunk[0] & 0x80:
-            break
-        if len(length_bytes) > 10:
-            raise ProtocolError("frame-length varint too long")
-    length, _ = decode_uvarint(bytes(length_bytes))
-    if length > max_frame:
-        raise ProtocolError(f"frame of {length} bytes exceeds the "
-                            f"{max_frame}-byte limit")
-    try:
-        payload = await reader.readexactly(length)
-        crc = int.from_bytes(await reader.readexactly(4), "little")
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid frame ({len(exc.partial)} of "
-            f"{length} payload bytes)") from exc
-    return protocol.parse_payload(payload, crc)
-
-
-class SSDServer:
+class SSDServer(FrameService):
     """Asyncio server paging compressed functions out of a container store."""
 
     def __init__(self, store: Optional[ContainerStore] = None,
                  config: Optional[ServerConfig] = None,
                  cache: Optional[SharedLRUCache] = None,
                  metrics: Optional[ServerMetrics] = None) -> None:
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig(), metrics or ServerMetrics())
         self.store = store if store is not None else ContainerStore()
         self.cache = cache or SharedLRUCache(
             self.config.cache_bytes,
             policy=GhostListAdmission() if self.config.cache_admission
             else None)
-        self.metrics = metrics or ServerMetrics()
         #: markov next-function predictor, learning from the request
         #: stream and seeded from container profile hints; None when
         #: prefetch is disabled
@@ -169,20 +133,14 @@ class SSDServer:
         #: cache keys inserted by prefetch and not yet hit (loop-only)
         self._prefetched: Set[Tuple] = set()
         self._prefetch_tasks: Set[asyncio.Task] = set()
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         # In-flight decode futures, keyed by cache key.  Only ever touched
         # from the event loop, so no lock is needed.
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._waiting = 0
-        #: requests currently inside _dispatch (event-loop-only)
-        self._active_requests = 0
         #: set once drain() starts; new decode/put work answers
         #: E_UNAVAILABLE while observability ops keep answering
         self._draining = False
-        #: open connection writers, for abrupt teardown (kill())
-        self._writers: Set[asyncio.StreamWriter] = set()
         #: chaos/test hook called thread-side before every decode with
         #: (container_id, findex); raising or sleeping here models a
         #: sick shard (see repro.faults.chaos)
@@ -201,22 +159,7 @@ class SSDServer:
 
     async def start(self) -> asyncio.AbstractServer:
         self._semaphore = asyncio.Semaphore(self.config.max_concurrency)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self._server
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        return await super().start()
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
         """Gracefully wind the server down (the SIGTERM path).
@@ -229,128 +172,63 @@ class SSDServer:
         (``config.drain_timeout`` by default).
         """
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         deadline = time.monotonic() + (timeout if timeout is not None
                                        else self.config.drain_timeout)
         while self.inflight_count and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
         drained = not self.inflight_count
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+        await self.stop()
         return drained
 
-    def abort_connections(self) -> None:
-        """Abruptly reset every open connection (models a crash).
+    # -- the frame loop's hooks ----------------------------------------------
 
-        Used by chaos harnesses through :meth:`ServerHandle.kill`: the
-        transports are aborted mid-frame, so clients see a connection
-        reset, not a clean close.
-        """
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+    def _span(self, message: protocol.Message):
+        return TRACER.span("serve.request", type=message.type_name,
+                           request_id=message.request_id,
+                           bytes_in=len(message.body))
 
-    # -- connection handling -------------------------------------------------
-
-    async def _read_frame(self, reader: asyncio.StreamReader
-                          ) -> Optional[protocol.Message]:
-        """Async twin of :func:`protocol.read_frame`; None on clean EOF."""
-        return await read_frame_async(reader, self.config.max_frame)
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    def _opened(self) -> Dict[str, Tuple[str, int]]:
         self.metrics.record_connection(opened=True)
-        self._writers.add(writer)
-        #: this connection's previous GET_FUNCTION, for transition learning
-        prev_access: Optional[Tuple[str, int]] = None
-        try:
-            while True:
-                try:
-                    message = await self._read_frame(reader)
-                except (ProtocolError, ReproError) as exc:
-                    # Framing is gone; answer once (best effort) and hang up.
-                    self.metrics.record_protocol_failure()
-                    await self._send_error(writer, 0, protocol.E_BAD_REQUEST,
-                                           str(exc))
-                    return
-                if message is None:
-                    return
-                started = time.perf_counter()
-                self._active_requests += 1
-                try:
-                    with TRACER.span("serve.request", type=message.type_name,
-                                     request_id=message.request_id) as span:
-                        response = await self._dispatch(message)
-                        span.set_attr("response", response.type_name)
-                        span.set_attr("bytes_in", len(message.body))
-                finally:
-                    self._active_requests -= 1
-                if (self.prefetcher is not None
-                        and message.type == protocol.GET_FUNCTION
-                        and response.type == protocol.OK_FUNCTION):
-                    try:
-                        cid, findex = protocol.parse_get_function(message.body)
-                    except ReproError:
-                        pass
-                    else:
-                        # Kick prefetch before writing the response, so
-                        # predicted decodes overlap the network transit.
-                        prev_access = self._note_function_access(
-                            prev_access, cid, findex)
-                frame = protocol.encode_frame(response)
-                writer.write(frame)
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    return
-                self.metrics.record_request(
-                    message.type_name, time.perf_counter() - started,
-                    bytes_in=len(message.body), bytes_out=len(frame))
-                if response.type == protocol.ERROR:
-                    code = response.body[0] if response.body else 0
-                    self.metrics.record_error(
-                        protocol.ERROR_NAMES.get(code, f"E_{code}"))
-        except ConnectionError:
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this connection's handler; end it
-            # quietly so teardown doesn't log spurious task errors.
-            pass
-        finally:
-            self._writers.discard(writer)
-            self.metrics.record_connection(opened=False)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+        return {}   # "prev": the connection's last GET_FUNCTION target
 
-    async def _send_error(self, writer: asyncio.StreamWriter,
-                          request_id: int, code: int, message: str) -> None:
-        self.metrics.record_error(protocol.ERROR_NAMES.get(code, f"E_{code}"))
-        try:
-            writer.write(protocol.encode_frame(protocol.Message(
-                type=protocol.ERROR, request_id=request_id,
-                body=protocol.build_error(code, message))))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+    def _closed(self, state: Dict[str, Tuple[str, int]]) -> None:
+        self.metrics.record_connection(opened=False)
+
+    def _framing_lost(self) -> None:
+        self.metrics.record_protocol_failure()
+
+    def _record(self, message: protocol.Message, response: protocol.Message,
+                hops: int, seconds: float, frame_bytes: int,
+                state: Dict[str, Tuple[str, int]]) -> None:
+        self.metrics.record_request(message.type_name, seconds,
+                                    bytes_in=len(message.body),
+                                    bytes_out=frame_bytes)
+        if (self.prefetcher is not None
+                and message.type == protocol.GET_FUNCTION
+                and response.type == protocol.OK_FUNCTION):
+            try:
+                current = protocol.parse_get_function(message.body)
+            except ReproError:
+                return
+            # Transitions are learned per connection, so interleaved
+            # clients don't teach the predictor noise.  Prefetch itself
+            # is kicked from _function_body, and only on demand misses
+            # and prefetch hits: a warm LRU hit costs the predictor
+            # nothing.
+            prev = state.get("prev")
+            if prev is not None:
+                self.prefetcher.observe(prev, current)
+            state["prev"] = current
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch(self, message: protocol.Message) -> protocol.Message:
-        """Turn one request into one response; never raises."""
-        def error(code: int, text: str) -> protocol.Message:
-            return protocol.Message(type=protocol.ERROR,
-                                    request_id=message.request_id,
-                                    body=protocol.build_error(code, text))
+    async def _answer(self, message: protocol.Message
+                      ) -> Tuple[protocol.Message, int]:
+        """Turn one request into one response; never raises.  A shard
+        answers everything itself, so it reports no hops."""
+        def error(code: int, text: str) -> Tuple[protocol.Message, int]:
+            return protocol.error_reply(message, code, text), 0
 
         handler = {
             protocol.PUT_CONTAINER: self._handle_put,
@@ -366,8 +244,11 @@ class SSDServer:
         if handler is None:
             return error(protocol.E_BAD_REQUEST,
                          f"unknown request type 0x{message.type:02x}")
-        if self._draining and message.type not in (
-                protocol.HEALTH, protocol.STATS, protocol.GET_METRICS):
+        if message.type in protocol.OBSERVABILITY_TYPES:
+            if message.body:
+                return error(protocol.E_BAD_REQUEST,
+                             f"{message.type_name} carries no body")
+        elif self._draining:
             # Refuse new decode/put work so a router re-routes; the
             # observability surface keeps answering during the drain.
             return error(protocol.E_UNAVAILABLE,
@@ -394,7 +275,7 @@ class SSDServer:
             return error(protocol.E_INTERNAL,
                          f"{type(exc).__name__}: {exc}")
         return protocol.Message(type=body_type,
-                                request_id=message.request_id, body=body)
+                                request_id=message.request_id, body=body), 0
 
     # -- decode plumbing -----------------------------------------------------
 
@@ -527,23 +408,6 @@ class SSDServer:
 
     # -- predictive prefetch -------------------------------------------------
 
-    def _note_function_access(self, prev: Optional[Tuple[str, int]],
-                              container_id: str, findex: int
-                              ) -> Tuple[str, int]:
-        """Learn one request-stream transition.
-
-        Called from the connection loop after a successful GET_FUNCTION,
-        with that connection's previous access — transitions are learned
-        per connection, so interleaved clients don't teach the predictor
-        noise.  Prefetch itself is kicked from ``_function_body``, and
-        only on demand misses and prefetch hits: a warm LRU hit predicts
-        nothing and costs nothing.
-        """
-        current = (container_id, findex)
-        if self.prefetcher is not None and prev is not None:
-            self.prefetcher.observe(prev, current)
-        return current
-
     def _kick_prefetch(self, state: Tuple[str, int]) -> None:
         """Schedule a background prefetch of ``state``'s successors."""
         if self.prefetcher is None or self._draining:
@@ -673,8 +537,6 @@ class SSDServer:
             findex, start, total, insns)
 
     async def _handle_stats(self, body: bytes) -> Tuple[int, bytes]:
-        if body:
-            raise ProtocolError("STATS carries no body")
         snapshot = self.metrics.snapshot(
             cache_stats=self.cache.stats().as_dict(),
             store_stats=self.store.stats(),
@@ -683,139 +545,28 @@ class SSDServer:
             json.dumps(snapshot, sort_keys=True).encode("utf-8"))
 
     async def _handle_get_metrics(self, body: bytes) -> Tuple[int, bytes]:
-        if body:
-            raise ProtocolError("GET_METRICS carries no body")
         exposition = self.metrics.expose_text()
         return protocol.OK_METRICS, protocol.build_ok_metrics(
             exposition.encode("utf-8"))
 
     async def _handle_health(self, body: bytes) -> Tuple[int, bytes]:
-        if body:
-            raise ProtocolError("HEALTH carries no body")
         state = (protocol.HEALTH_DRAINING if self._draining
                  else protocol.HEALTH_OK)
-        # Subtract this HEALTH request itself from the in-flight count.
-        return protocol.OK_HEALTH, protocol.build_ok_health(
-            state, max(0, self.inflight_count - 1), len(self.store))
+        return protocol.OK_HEALTH, self._health_body(state, len(self.store))
 
 
 class _Busy(Exception):
     """Internal: queue depth exceeded; mapped to E_BUSY."""
 
 
-# -- running a server from synchronous code ---------------------------------
-
-class ServerHandle:
-    """A server running on a daemon thread; for tests, benches, clients."""
-
-    def __init__(self, server: SSDServer, loop: asyncio.AbstractEventLoop,
-                 stop_event: asyncio.Event, thread: threading.Thread) -> None:
-        self.server = server
-        self._loop = loop
-        self._stop_event = stop_event
-        self._thread = thread
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.server.config.host, self.server.port)
-
-    @property
-    def metrics(self) -> ServerMetrics:
-        return self.server.metrics
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-            self._thread.join(timeout)
-
-    def drain(self, timeout: float = DEFAULT_DRAIN_TIMEOUT) -> bool:
-        """Gracefully drain the server, then stop its thread.
-
-        Returns ``True`` when every in-flight decode completed before
-        the deadline (the SIGTERM contract: finish work, refuse new
-        frames, then leave).
-        """
-        drained = True
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.drain(timeout), self._loop)
-            try:
-                drained = future.result(timeout + 5.0)
-            except (asyncio.CancelledError, TimeoutError):
-                drained = False
-            self.stop()
-        return drained
-
-    def kill(self) -> None:
-        """Abruptly tear the server down (models a shard crash).
-
-        Connections are reset mid-frame and the listener closes without
-        waiting for in-flight decodes; clients observe connection
-        resets, exactly what a SIGKILLed shard produces.
-        """
-        if self._thread.is_alive():
-            def _abort() -> None:
-                self.server.abort_connections()
-                self._stop_event.set()
-
-            self._loop.call_soon_threadsafe(_abort)
-            self._thread.join(5.0)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
 def serve_in_thread(store: Optional[ContainerStore] = None,
                     config: Optional[ServerConfig] = None,
                     server: Optional[SSDServer] = None,
-                    startup_timeout: float = 10.0) -> ServerHandle:
-    """Start an :class:`SSDServer` on a background thread and wait for it.
-
-    Returns a :class:`ServerHandle` whose ``.port`` is bound (config port
-    0 picks an ephemeral one).  ``stop()`` shuts the loop down cleanly.
-    """
-    ssd_server = server or SSDServer(store=store, config=config)
-    ready = threading.Event()
-    startup_error: list = []
-    boxes: dict = {}
-
-    def runner() -> None:
-        async def main() -> None:
-            stop_event = asyncio.Event()
-            try:
-                await ssd_server.start()
-            except Exception as exc:  # noqa: BLE001 - reported to caller
-                startup_error.append(exc)
-                ready.set()
-                return
-            boxes["loop"] = asyncio.get_running_loop()
-            boxes["stop"] = stop_event
-            ready.set()
-            try:
-                await stop_event.wait()
-            finally:
-                await ssd_server.stop()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=runner, name="ssd-serve", daemon=True)
-    thread.start()
-    if not ready.wait(startup_timeout):
-        raise RuntimeError("server failed to start within "
-                           f"{startup_timeout}s")
-    if startup_error:
-        raise startup_error[0]
-    return ServerHandle(ssd_server, boxes["loop"], boxes["stop"], thread)
+                    startup_timeout: float = 10.0) -> ServeHandle:
+    """Start an :class:`SSDServer` on a background thread and wait for it
+    (see :func:`~repro.serve.service.run_in_thread`)."""
+    return run_in_thread(server or SSDServer(store=store, config=config),
+                         startup_timeout)
 
 
 __all__ = [
@@ -825,7 +576,5 @@ __all__ = [
     "DEFAULT_REQUEST_TIMEOUT",
     "SSDServer",
     "ServerConfig",
-    "ServerHandle",
-    "read_frame_async",
     "serve_in_thread",
 ]

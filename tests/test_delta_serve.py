@@ -134,7 +134,7 @@ class TestServeWire:
         client.get_delta(target_id, _cid(base))
         with pytest.raises(RemoteError):
             client.get_delta(target_id, "ee" * 32)
-        snapshot = handle.server.metrics.snapshot()
+        snapshot = handle.service.metrics.snapshot()
         assert snapshot["delta"]["patches"] == 1
         assert snapshot["delta"]["no_base"] == 1
         assert snapshot["delta"]["bytes_saved"] > 0
@@ -177,7 +177,7 @@ class TestClientUpdate:
         truth = make_patch(base, target)
         poisoned = bytearray(truth)
         poisoned[33] ^= 0xFF                     # lie about the target
-        handle.server.store._patches[(base_id, target_id)] = bytes(poisoned)
+        handle.service.store._patches[(base_id, target_id)] = bytes(poisoned)
         rebuilt, delta_used = client.update_container(base, target_id)
         assert not delta_used
         assert rebuilt == target

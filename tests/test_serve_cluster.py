@@ -89,11 +89,11 @@ class TestTopology:
                                         router=router_config,
                                         server=server_config)) as cluster:
             for handle in cluster.handles.values():
-                config = handle.server.config
+                config = handle.service.config
                 assert config.prefetch_depth == 8
                 assert config.cache_admission is True
                 assert config.cache_bytes == 1 << 16
-            assert cluster.router.router.config.replication == 3
+            assert cluster.routers[0].service.config.replication == 3
         assert router_config.replication == RouterConfig().replication
 
     def test_specs_and_live_count(self, cluster):
@@ -145,7 +145,7 @@ class TestFailover:
             cluster.kill_shard(replicas[0])
             meta = client.meta(cid)   # served by the surviving replica
             assert meta.program_name == "asm"
-        assert cluster.router.metrics.failovers >= 1
+        assert cluster.routers[0].metrics.snapshot()["failovers_total"] >= 1
 
     def test_draining_shard_hands_off(self, cluster, container):
         with cluster.client() as client:
@@ -155,7 +155,7 @@ class TestFailover:
             assert client.function(cid, 0).name == "main"
             # probes saw the drain or the kill; the shard is not routable
             assert wait_until(lambda: replicas[0] not in
-                              cluster.router.router.live_shards)
+                              cluster.routers[0].service.live_shards)
 
     def test_all_replicas_dead_is_clean_unavailable(self, cluster,
                                                     container):
@@ -170,7 +170,7 @@ class TestFailover:
                 client.meta(cid)
             if isinstance(excinfo.value, RemoteError):
                 assert excinfo.value.code == protocol.E_UNAVAILABLE
-        assert cluster.router.metrics.unavailable >= 1
+        assert cluster.routers[0].metrics.snapshot()["unavailable"] >= 1
 
     def test_restart_recovers_data_and_routing(self, cluster, container):
         with cluster.client() as client:
@@ -189,10 +189,10 @@ class TestFailover:
         victim = cluster.shard_ids[0]
         cluster.kill_shard(victim)
         assert wait_until(lambda: victim not in
-                          cluster.router.router.live_shards)
+                          cluster.routers[0].service.live_shards)
         cluster.restart_shard(victim)
         assert wait_until(lambda: victim in
-                          cluster.router.router.live_shards)
+                          cluster.routers[0].service.live_shards)
 
     def test_breaker_opens_on_dead_shard(self, container):
         # R=1: every request for the victim's keys hammers only it
@@ -205,7 +205,7 @@ class TestFailover:
                 for _ in range(6):
                     with pytest.raises((UnavailableError, RemoteError)):
                         client.meta(cid)
-            text = cluster.router.metrics.expose_text()
+            text = cluster.routers[0].metrics.expose_text()
             assert "cluster_breaker_transitions_total" in text
             assert f'shard="{victim}"' in text
 
@@ -218,7 +218,7 @@ class TestReplicaReads:
                                                    container):
         cid = container_id_of(container)
         replicas = cluster.replicas_for(cid)
-        metrics = cluster.router.metrics
+        metrics = cluster.routers[0].metrics
         cluster.kill_shard(replicas[0])
         with cluster.client() as client:
             assert client.put(container)[0] == cid
@@ -226,13 +226,13 @@ class TestReplicaReads:
             cluster.restart_shard(replicas[0])
             assert cid not in cluster.stores[replicas[0]]
             assert wait_until(lambda: replicas[0] in
-                              cluster.router.router.live_shards)
-            served_before = dict(cluster.router.router._served)
-            failovers_before = metrics.failovers
+                              cluster.routers[0].service.live_shards)
+            served_before = dict(cluster.routers[0].service._served)
+            failovers_before = metrics.snapshot()["failovers_total"]
             assert client.function(cid, 0).name == "main"
-        served = cluster.router.router._served
+        served = cluster.routers[0].service._served
         assert served[replicas[1]] == served_before[replicas[1]] + 1
-        assert metrics.failovers > failovers_before
+        assert metrics.snapshot()["failovers_total"] > failovers_before
 
     def test_replica_miss_with_other_replica_dead_is_unavailable(
             self, cluster, container):
@@ -247,7 +247,7 @@ class TestReplicaReads:
             client.put(container)
             cluster.restart_shard(replicas[0])
             assert wait_until(lambda: replicas[0] in
-                              cluster.router.router.live_shards)
+                              cluster.routers[0].service.live_shards)
             cluster.kill_shard(replicas[1])
             with pytest.raises((UnavailableError, RemoteError)) as excinfo:
                 client.function(cid, 0)
@@ -268,7 +268,8 @@ class TestRouterObservability:
             assert status.ok
             assert status.containers == 3   # live shard count
         cluster.kill_shard("shard-1")
-        assert wait_until(lambda: len(cluster.router.router.live_shards) == 2)
+        assert wait_until(
+            lambda: len(cluster.routers[0].service.live_shards) == 2)
         with ServeClient(host, port) as client:
             assert client.health().containers == 2
 
@@ -292,7 +293,7 @@ class TestRouterObservability:
     def test_shard_state_gauge_tracks_kill(self, cluster):
         cluster.kill_shard("shard-2")
         assert wait_until(lambda: 'cluster_shard_state{shard="shard-2"} 3'
-                          in cluster.router.metrics.expose_text())
+                          in cluster.routers[0].metrics.expose_text())
 
 
 class TestUnknownTypeAndBadFrames:

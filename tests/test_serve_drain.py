@@ -56,7 +56,7 @@ class TestDrain:
                 started.set()
                 release.wait(5.0)
 
-            handle.server.decode_hook = hook
+            handle.service.decode_hook = hook
             results = {}
 
             def fetch(slot):
@@ -83,9 +83,9 @@ class TestDrain:
             drainer = threading.Thread(target=drain, daemon=True)
             drainer.start()
             deadline = time.monotonic() + 5.0
-            while not handle.server.draining and time.monotonic() < deadline:
+            while not handle.service.draining and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert handle.server.draining
+            assert handle.service.draining
 
             # while draining: health answers (and says so), new decode
             # work is refused with E_UNAVAILABLE
@@ -119,7 +119,7 @@ class TestDrain:
                 started.set()
                 release.wait(5.0)   # bounded: the thread must still join
 
-            handle.server.decode_hook = hook
+            handle.service.decode_hook = hook
 
             def fetch():
                 try:
@@ -176,7 +176,7 @@ class TestKill:
             started.set()
             time.sleep(2.0)     # bounded hang; killed mid-decode
 
-        handle.server.decode_hook = hook
+        handle.service.decode_hook = hook
         outcome = {}
 
         def fetch():

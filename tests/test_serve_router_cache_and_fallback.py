@@ -136,11 +136,11 @@ class TestMultiRouter:
                 with ServeClient(host, port, retries=4) as direct:
                     assert direct.meta(cid).container_id == cid
                 assert wait_for(
-                    lambda: victim not in handle.router.live_shards)
+                    lambda: victim not in handle.service.live_shards)
 
     def test_single_router_cluster_keeps_old_shape(self):
         with start_cluster(routers=1) as cluster:
-            assert cluster.router is cluster.routers[0]
+            assert len(cluster.routers) == 1
             assert cluster.addresses == [cluster.address]
 
 
