@@ -4,11 +4,11 @@
 update subsystem: a fleet holding container ``v_N`` fetches ``v_N+1``
 as a small, self-describing **patch** instead of a full transfer.
 
-* :mod:`repro.delta.bdelta` — windowed byte deltas (LZ77 seeded with
-  the base buffer);
 * :mod:`repro.delta.patch` — the patch artifact: SHA-256-named base
   and target, per-section ops over the container's blob table,
-  verified application, composable chains;
+  verified application, composable chains.  Its byte deltas are
+  :mod:`repro.lz.lz77` streams with a base: the coder that packs
+  container blobs, its match window starting out holding the base;
 * :mod:`repro.delta.shared` — corpus-trained shared base dictionaries
   (zero-function containers related programs diff small against).
 
@@ -21,7 +21,6 @@ See docs/DELTA.md for the format and the negotiation protocol.
 from __future__ import annotations
 
 from ..obs import REGISTRY
-from .bdelta import delta_apply, delta_compress
 from .patch import (
     EMPTY_BASE_HASH,
     PATCH_VERSION,
@@ -65,8 +64,6 @@ __all__ = [
     "apply_chain",
     "apply_patch",
     "count_base_entries",
-    "delta_apply",
-    "delta_compress",
     "is_patch",
     "is_shared_base",
     "make_patch",

@@ -14,8 +14,9 @@ u8       mode (0 = RAW, 1 = SECTIONS)
 ...      mode-specific body
 ``
 
-**RAW** bodies are a single :mod:`repro.delta.bdelta` stream over the
-whole container — always available, used when either side does not
+**RAW** bodies are one byte delta over the whole container
+(:func:`repro.lz.lz77.compress` of the target given the base, with no
+window cap) — always available, used when either side does not
 parse as a plain SSD container (v1, v3 envelopes, foreign codecs).
 
 **SECTIONS** bodies exploit the split-stream container layout: the
@@ -25,7 +26,7 @@ reference table, and each target blob is transmitted as one *op*:
 
 * ``COPY index``  — byte-identical to a base blob (the common case for
   unchanged dictionaries and untouched functions);
-* ``BDELTA index stream`` — a windowed byte delta against a base blob
+* ``BDELTA index stream`` — a byte delta against a base blob
   (item streams are matched to the base function of the same *name*,
   so insertions and deletions do not shift every subsequent diff);
 * ``RAW bytes`` — no useful base (new functions, heavy rewrites).
@@ -71,7 +72,6 @@ from ..core.layout import SegmentLayout, layouts_from_sections
 from ..errors import BaseMismatch, CorruptContainer, DeltaError, LimitExceeded
 from ..lz import lz77
 from ..lz.varint import ByteReader, ByteWriter
-from .bdelta import delta_apply, delta_compress
 
 #: current patch header format version
 PATCH_VERSION = 1
@@ -241,7 +241,8 @@ def _emit_op(writer: ByteWriter, target_blob: bytes, table: Sequence[bytes],
         return
     candidates = []
     if preferred is not None:
-        stream = delta_compress(table[preferred], target_blob)
+        stream = lz77.compress(target_blob, base=table[preferred],
+                               window=None)
         w = ByteWriter()
         w.write_u8(_OP_BDELTA)
         w.write_uvarint(preferred)
@@ -254,7 +255,8 @@ def _emit_op(writer: ByteWriter, target_blob: bytes, table: Sequence[bytes],
             if base_inflated is not None and target_inflated is not None:
                 tag, payload = target_inflated
                 if _deflate(tag, payload, framing) == target_blob:
-                    stream = delta_compress(base_inflated[1], payload)
+                    stream = lz77.compress(payload, base=base_inflated[1],
+                                           window=None)
                     w = ByteWriter()
                     w.write_u8(_OP_ZDELTA)
                     w.write_uvarint(preferred)
@@ -287,8 +289,8 @@ def _read_op(reader: ByteReader, table: Sequence[bytes],
             raise DeltaError(f"BDELTA references base blob {index} of "
                              f"{len(table)}", section="patch", offset=at)
         stream = reader.read_bytes(reader.read_uvarint())
-        return delta_apply(table[index], stream,
-                           max_output=limits.max_blob_output)
+        return lz77.decompress(stream, limits.max_blob_output,
+                               base=table[index])
     if op == _OP_ZDELTA:
         index = reader.read_uvarint()
         if index >= len(table):
@@ -304,8 +306,8 @@ def _read_op(reader: ByteReader, table: Sequence[bytes],
         if inflated is None:
             raise DeltaError("ZDELTA against a base blob that is not an "
                              "LZ stream", section="patch", offset=at)
-        payload = delta_apply(inflated[1], stream,
-                              max_output=limits.max_blob_output)
+        payload = lz77.decompress(stream, limits.max_blob_output,
+                                  base=inflated[1])
         return _deflate(tag, payload, framing)
     if op == _OP_RAW:
         length = reader.read_uvarint()
@@ -459,7 +461,7 @@ def _emit_item_op(writer: ByteWriter, stream: bytes, tfindex: int,
             w.write_uvarint(bfindex)
             candidates.append(w.getvalue())
         elif remapped is not None:
-            fixup = delta_compress(remapped, stream)
+            fixup = lz77.compress(stream, base=remapped, window=None)
             w = ByteWriter()
             w.write_u8(_OP_REMAP_DELTA)
             w.write_uvarint(bfindex)
@@ -467,7 +469,8 @@ def _emit_item_op(writer: ByteWriter, stream: bytes, tfindex: int,
             w.write_bytes(fixup)
             candidates.append(w.getvalue())
         if not candidates:
-            bdelta = delta_compress(item_table[bfindex], stream)
+            bdelta = lz77.compress(stream, base=item_table[bfindex],
+                                   window=None)
             w = ByteWriter()
             w.write_u8(_OP_BDELTA)
             w.write_uvarint(bfindex)
@@ -497,8 +500,8 @@ def _read_item_op(reader: ByteReader, tfindex: int, base_ctx: _RemapContext,
         if op == _OP_COPY:
             return item_table[index]
         stream = reader.read_bytes(reader.read_uvarint())
-        return delta_apply(item_table[index], stream,
-                           max_output=limits.max_blob_output)
+        return lz77.decompress(stream, limits.max_blob_output,
+                               base=item_table[index])
     if op == _OP_RAW:
         length = reader.read_uvarint()
         if length > limits.max_blob_output:
@@ -513,8 +516,8 @@ def _read_item_op(reader: ByteReader, tfindex: int, base_ctx: _RemapContext,
         if op == _OP_REMAP:
             return remapped
         fixup = reader.read_bytes(reader.read_uvarint())
-        return delta_apply(remapped, fixup,
-                           max_output=limits.max_blob_output)
+        return lz77.decompress(fixup, limits.max_blob_output,
+                               base=remapped)
     raise DeltaError(f"unknown item op {op}", section="patch", offset=at)
 
 
@@ -645,7 +648,7 @@ def make_patch(base: bytes, target: bytes) -> bytes:
     codec's registry-compatible form).  The smaller of the RAW and
     SECTIONS bodies wins; both reconstruct byte-identically.
     """
-    body = delta_compress(base, target)
+    body = lz77.compress(target, base=base, window=None)
     mode = MODE_RAW
     sections = _sections_body(base, target)
     if sections is not None and len(sections) < len(body):
@@ -683,8 +686,8 @@ def apply_patch(base: bytes, patch: bytes,
             f"{limits.max_blob_output}", section="patch")
     try:
         if info.mode == MODE_RAW:
-            result = delta_apply(base, patch[reader.position:],
-                                 max_output=limits.max_blob_output)
+            result = lz77.decompress(patch[reader.position:],
+                                     limits.max_blob_output, base=base)
         else:
             result = _apply_sections(base, reader, limits)
     except CorruptContainer:

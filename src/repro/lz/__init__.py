@@ -1,13 +1,12 @@
-"""Byte- and bit-level codec substrate.
+"""Byte-level codec substrate.
 
-These are the low-level codecs SSD builds on: bit-granular I/O for
-split-stream fields, varints for the container format, delta coding and a
-simple LZ77 for base-entry compression (paper section 2.2.1).
+These are the low-level codecs SSD builds on: varints for the container
+format, delta coding and a simple LZ77 for base-entry compression (paper
+section 2.2.1), and an adaptive arithmetic coder.
 """
 
 from . import arith
 from .arith import FenwickTable
-from .bitio import BitReader, BitWriter
 from .delta import decode_deltas, encode_deltas
 from .lz77 import compress, decompress
 from .varint import (
@@ -20,8 +19,6 @@ from .varint import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "FenwickTable",
     "arith",
     "ByteReader",

@@ -11,6 +11,11 @@ plays both roles:
 * ``repro.analysis.ratios`` uses the same codec as a whole-program
   byte-oriented baseline, illustrating why split-stream methods beat
   byte-aligned matching on instruction data.
+* ``repro.delta.patch`` uses it as its byte-delta coder: given a
+  ``base``, the match window starts out holding the base bytes, so a
+  back-reference can copy from the previous version of a blob and only
+  the target is emitted.  Patches pass ``window=None``: a code update
+  copies from anywhere in the previous version, not just its last 64 KiB.
 
 The format is deliberately simple (the paper stresses that SSD needs only a
 few pages of code): a token stream where each token is either a literal run
@@ -57,7 +62,8 @@ def _hash4(data: bytes, pos: int) -> int:
     ) * 2654435761 & 0xFFFFFFFF
 
 
-def compress(data: bytes) -> bytes:
+def compress(data: bytes, *, base: bytes = b"",
+             window: Optional[int] = _WINDOW) -> bytes:
     """Compress ``data``; always decompressible by :func:`decompress`.
 
     Token format (varints):
@@ -65,22 +71,37 @@ def compress(data: bytes) -> bytes:
     * literal run:   ``0, length, <length raw bytes>``
     * back-reference: ``length (>= 1), distance`` meaning "copy ``length + 3``
       bytes from ``distance`` bytes back".  Overlapping copies are allowed.
+
+    With a ``base``, distances count back through ``base + data``, so a
+    copy may reach into the base; the stream declares and carries only
+    ``data``.  ``window`` caps the distance (``None``: no cap).
     """
     writer = ByteWriter()
     writer.write_uvarint(len(data))
     table: dict = {}
-    pos = 0
-    literal_start = 0
+    table_get = table.get
+    table_setdefault = table.setdefault
+    origin = len(base)
+    if origin:
+        data = base + data
+        # Seed the hash table with the base: every position up to 64 KiB,
+        # every other one past that, so seeding a big base stays cheap
+        # while match starts remain dense enough to find long copies.
+        step = 1 if origin <= (1 << 16) else 2
+        for pos in range(0, origin - _MIN_MATCH + 1, step):
+            chain = table_setdefault(_hash4(data, pos), [])
+            chain.append(pos)
+            if len(chain) > _CHAIN_CAP:
+                del chain[:-_MAX_CHAIN]
+    pos = literal_start = origin
     n = len(data)
+    max_dist = window if window is not None else n
 
     def flush_literals(end: int) -> None:
         if end > literal_start:
             writer.write_uvarint(0)
             writer.write_uvarint(end - literal_start)
             writer.write_bytes(data[literal_start:end])
-
-    table_get = table.get
-    table_setdefault = table.setdefault
 
     while pos + _MIN_MATCH <= n:
         key = _hash4(data, pos)
@@ -98,7 +119,7 @@ def compress(data: bytes) -> bytes:
             for cidx in range(len(candidates) - 1, lo - 1, -1):
                 cand = candidates[cidx]
                 dist = pos - cand
-                if dist > _WINDOW:
+                if dist > max_dist:
                     break
                 if best_len:
                     if best_len >= limit:
@@ -141,18 +162,22 @@ def compress(data: bytes) -> bytes:
                 del chain[:-_MAX_CHAIN]
             pos += 1
     flush_literals(n)
-    _ENCODE_BYTES.inc(n)
+    _ENCODE_BYTES.inc(n - origin)
     return writer.getvalue()
 
 
-def decompress(data: bytes, max_output: int = MAX_OUTPUT_BYTES) -> bytes:
-    """Inverse of :func:`compress`.
+def decompress(data: bytes, max_output: int = MAX_OUTPUT_BYTES, *,
+               base: bytes = b"") -> bytes:
+    """Inverse of :func:`compress` given the same ``base``.
 
     Every token's declared length is validated against the stream's
     declared output size *before* any bytes are materialized, so a lying
     length field raises :class:`~repro.errors.CorruptContainer` (or
     :class:`~repro.errors.LimitExceeded` for the declared size itself)
     instead of over-allocating or silently producing short output.
+
+    The output buffer starts out holding ``base``, so back-references
+    resolve into it; only the bytes after it are returned.
 
     On the numpy backend, mid-size streams take a split-plane fast path:
     all varints are pre-decoded into a per-offset table (one vectorized
@@ -162,16 +187,22 @@ def decompress(data: bytes, max_output: int = MAX_OUTPUT_BYTES) -> bytes:
     """
     if (_kernels.backend() == "numpy"
             and TABLE_MIN_BYTES <= len(data) <= TABLE_MAX_BYTES):
-        result = _decompress_table(data, max_output)
+        result = _decompress_table(data, max_output, base)
         if result is not None:
             _DECODE_BYTES.inc(len(result))
             _kernels.record_batch("lz77")
             return result
         _kernels.record_fallback("lz77")
-    return _decompress_scalar(data, max_output)
+    return _decompress_scalar(data, max_output, base)
 
 
-def _decompress_table(data: bytes, max_output: int) -> Optional[bytes]:
+def _output(out: bytearray, origin: int) -> bytes:
+    """The decoded bytes after the base, copied once."""
+    return bytes(memoryview(out)[origin:]) if origin else bytes(out)
+
+
+def _decompress_table(data: bytes, max_output: int,
+                      base: bytes) -> Optional[bytes]:
     """Token walk over the pre-decoded varint plane; ``None`` on anomaly."""
     values, nexts = uvarint_table(data)
     n = len(data)
@@ -181,9 +212,10 @@ def _decompress_table(data: bytes, max_output: int) -> Optional[bytes]:
     pos = nexts[0]
     if pos < 0 or expected > max_output:
         return None
-    out = bytearray()
+    out = bytearray(base)
+    total = len(base) + expected
     data_mv = memoryview(data)
-    while len(out) < expected:
+    while len(out) < total:
         if not 0 <= pos < n:
             return None  # truncated token stream
         tag = values[pos]
@@ -195,7 +227,7 @@ def _decompress_table(data: bytes, max_output: int) -> Optional[bytes]:
         if tag == 0:
             length = values[pos]
             run_at = nexts[pos]
-            if run_at < 0 or length > expected - len(out) or run_at + length > n:
+            if run_at < 0 or length > total - len(out) or run_at + length > n:
                 return None
             out += data_mv[run_at:run_at + length]
             pos = run_at + length
@@ -203,7 +235,7 @@ def _decompress_table(data: bytes, max_output: int) -> Optional[bytes]:
             length = tag + _MIN_MATCH - 1
             dist = values[pos]
             pos = nexts[pos]
-            if pos < 0 or length > expected - len(out):
+            if pos < 0 or length > total - len(out):
                 return None
             if dist == 0 or dist > len(out):
                 return None
@@ -215,35 +247,37 @@ def _decompress_table(data: bytes, max_output: int) -> Optional[bytes]:
                 while len(chunk) < length:
                     chunk += chunk
                 out += chunk[:length]
-    return bytes(out)
+    return _output(out, len(base))
 
 
-def _decompress_scalar(data: bytes, max_output: int) -> bytes:
+def _decompress_scalar(data: bytes, max_output: int, base: bytes) -> bytes:
     reader = ByteReader(data)
     expected = reader.read_uvarint()
     if expected > max_output:
         raise LimitExceeded(
             f"LZ stream declares {expected} output bytes, limit {max_output}",
             offset=0)
-    out = bytearray()
-    while len(out) < expected:
+    origin = len(base)
+    out = bytearray(base)
+    total = origin + expected
+    while len(out) < total:
         token_at = reader.position
         tag = reader.read_uvarint()
         if tag == 0:
             length = reader.read_uvarint()
-            if length > expected - len(out):
+            if length > total - len(out):
                 raise CorruptContainer(
                     f"corrupt LZ stream: literal run of {length} overruns the "
-                    f"declared {expected}-byte output at {len(out)}",
+                    f"declared {expected}-byte output at {len(out) - origin}",
                     offset=token_at)
             out += reader.read_bytes(length)
         else:
             length = tag + _MIN_MATCH - 1
             dist = reader.read_uvarint()
-            if length > expected - len(out):
+            if length > total - len(out):
                 raise CorruptContainer(
                     f"corrupt LZ stream: copy of {length} overruns the "
-                    f"declared {expected}-byte output at {len(out)}",
+                    f"declared {expected}-byte output at {len(out) - origin}",
                     offset=token_at)
             if dist == 0 or dist > len(out):
                 raise CorruptContainer(
@@ -260,5 +294,5 @@ def _decompress_scalar(data: bytes, max_output: int) -> bytes:
                 while len(chunk) < length:
                     chunk += chunk
                 out += chunk[:length]
-    _DECODE_BYTES.inc(len(out))
-    return bytes(out)
+    _DECODE_BYTES.inc(len(out) - origin)
+    return _output(out, origin)

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ProtocolError, ReproError
 from ..obs import TRACER
 from . import protocol
-from .cache import GhostListAdmission, SharedLRUCache
+from .cache import SharedLRUCache
 from .health import CircuitBreaker, ShardHealth
 from .metrics import RouterMetrics
 from .ring import DEFAULT_VNODES, HashRing
@@ -94,9 +94,6 @@ class RouterConfig:
     max_frame: int = protocol.MAX_FRAME_BYTES
     seed: Optional[int] = None         # jitter RNG seed (deterministic tests)
     cache_bytes: int = 0               # response-cache budget; 0 disables
-    #: screen eviction-forcing response-cache inserts through a
-    #: ghost-list frequency filter instead of always admitting
-    cache_admission: bool = False
 
 
 @dataclass
@@ -144,10 +141,7 @@ class ClusterRouter(FrameService):
         self._probe_task: Optional[asyncio.Task] = None
         self._rng = random.Random(self.config.seed)
         self._response_cache = (
-            SharedLRUCache(
-                self.config.cache_bytes,
-                policy=GhostListAdmission() if self.config.cache_admission
-                else None)
+            SharedLRUCache(self.config.cache_bytes)
             if self.config.cache_bytes > 0 else None)
         self._cache_evictions_seen = 0
         # per-shard cumulative served requests (cache hits excluded —

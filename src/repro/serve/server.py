@@ -145,6 +145,19 @@ class SSDServer(FrameService):
         #: (container_id, findex); raising or sleeping here models a
         #: sick shard (see repro.faults.chaos)
         self.decode_hook: Optional[Callable[[str, int], None]] = None
+        #: request type -> handler, answering a request body with
+        #: (response type, response body)
+        self._handlers = {
+            protocol.PUT_CONTAINER: self._handle_put,
+            protocol.GET_META: self._handle_get_meta,
+            protocol.GET_FUNCTION: self._handle_get_function,
+            protocol.GET_BLOCK: self._handle_get_block,
+            protocol.STATS: self._handle_stats,
+            protocol.GET_METRICS: self._handle_get_metrics,
+            protocol.HEALTH: self._handle_health,
+            protocol.GET_CONTAINER: self._handle_get_container,
+            protocol.GET_DELTA: self._handle_get_delta,
+        }
 
     @property
     def draining(self) -> bool:
@@ -230,17 +243,7 @@ class SSDServer(FrameService):
         def error(code: int, text: str) -> Tuple[protocol.Message, int]:
             return protocol.error_reply(message, code, text), 0
 
-        handler = {
-            protocol.PUT_CONTAINER: self._handle_put,
-            protocol.GET_META: self._handle_get_meta,
-            protocol.GET_FUNCTION: self._handle_get_function,
-            protocol.GET_BLOCK: self._handle_get_block,
-            protocol.STATS: self._handle_stats,
-            protocol.GET_METRICS: self._handle_get_metrics,
-            protocol.HEALTH: self._handle_health,
-            protocol.GET_CONTAINER: self._handle_get_container,
-            protocol.GET_DELTA: self._handle_get_delta,
-        }.get(message.type)
+        handler = self._handlers.get(message.type)
         if handler is None:
             return error(protocol.E_BAD_REQUEST,
                          f"unknown request type 0x{message.type:02x}")

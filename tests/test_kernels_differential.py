@@ -258,22 +258,23 @@ def test_uvarint_table_matches_scalar(data):
 
 # -- LZ77 --------------------------------------------------------------------
 
-@given(st.binary(max_size=4096))
-def test_lz77_roundtrip_identical(payload):
-    compressed = lz77.compress(payload)
-    outcome = assert_identical(lambda: lz77.decompress(compressed))
+@given(st.binary(max_size=4096), st.binary(max_size=1024))
+def test_lz77_roundtrip_identical(payload, base):
+    compressed = lz77.compress(payload, base=base, window=None)
+    outcome = assert_identical(lambda: lz77.decompress(compressed, base=base))
     assert outcome == ("ok", payload)
 
 
-@given(st.binary(min_size=1, max_size=1024), st.data())
-def test_lz77_corrupt_streams_fail_identically(payload, data):
-    compressed = bytearray(lz77.compress(payload))
+@given(st.binary(min_size=1, max_size=1024), st.binary(max_size=512),
+       st.data())
+def test_lz77_corrupt_streams_fail_identically(payload, base, data):
+    compressed = bytearray(lz77.compress(payload, base=base, window=None))
     position = data.draw(
         st.integers(min_value=0, max_value=len(compressed) - 1))
     mask = data.draw(st.integers(min_value=1, max_value=255))
     compressed[position] ^= mask
     blob = bytes(compressed)
-    assert_identical(lambda: lz77.decompress(blob))
+    assert_identical(lambda: lz77.decompress(blob, base=base))
 
 
 @given(st.binary(max_size=512))

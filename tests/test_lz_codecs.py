@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptContainer, LimitExceeded, TruncatedStream
 from repro.lz.delta import decode_deltas, encode_deltas
 from repro.lz.lz77 import compress, decompress
+from repro.lz.varint import ByteWriter
 
 
 class TestDelta:
@@ -84,8 +86,6 @@ class TestLZ77:
         assert len(compressed) < len(records)
 
     def test_corrupt_distance_detected(self):
-        from repro.lz.varint import ByteWriter
-
         w = ByteWriter()
         w.write_uvarint(10)  # claim 10 bytes
         w.write_uvarint(1)   # match of length 4
@@ -94,10 +94,30 @@ class TestLZ77:
             decompress(w.getvalue())
 
 
-@given(st.binary(max_size=2048))
+class TestLZ77WithBase:
+    def test_distance_past_the_base_is_corrupt(self):
+        w = ByteWriter()
+        w.write_uvarint(4)
+        w.write_uvarint(1)   # copy 4 bytes
+        w.write_uvarint(9)   # from 9 back, with only 8 base bytes
+        with pytest.raises(CorruptContainer) as info:
+            decompress(w.getvalue(), base=b"12345678")
+        assert info.value.offset == 1
+
+    def test_truncated_and_oversized_streams(self):
+        stream = compress(b"abcdefgh" * 4, base=b"xyz")
+        with pytest.raises(TruncatedStream):
+            decompress(stream[:-1], base=b"xyz")
+        with pytest.raises(LimitExceeded):
+            decompress(stream, 8, base=b"xyz")
+
+
+@given(st.binary(max_size=2048), st.binary(max_size=1024),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=4096)))
 @settings(max_examples=60)
-def test_property_lz77_roundtrip(data):
-    assert decompress(compress(data)) == data
+def test_property_lz77_roundtrip(data, base, window):
+    assert decompress(compress(data, base=base, window=window),
+                      base=base) == data
 
 
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=300))
