@@ -2,7 +2,7 @@
 and text rendering for the experiment exhibits."""
 
 from .overhead import OverheadReport, measure_overhead
-from .ratios import SizeReport, codec_sizes, measure_sizes
+from .ratios import SizeReport, measure_sizes
 from .redundancy import RedundancyStats, measure_redundancy
 from .report import ascii_chart, format_cell, paper_vs_measured, render_table
 
@@ -11,7 +11,6 @@ __all__ = [
     "RedundancyStats",
     "SizeReport",
     "ascii_chart",
-    "codec_sizes",
     "format_cell",
     "measure_overhead",
     "measure_redundancy",

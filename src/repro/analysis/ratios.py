@@ -9,16 +9,12 @@ skeptical reviewer) would ask about:
 * uncompressed VM bytecode size;
 * byte-oriented LZ77 over the VM bytecode — the stream-oriented,
   *non*-interpretable comparison point from section 2.
-
-:func:`codec_sizes` adds the registry dimension: container bytes for
-every codec registered in ``repro.codecs``, so the same accounting
-extends automatically when a codec is added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from ..brisc import PatternDictionary
 from ..brisc import compress as brisc_compress
@@ -105,20 +101,3 @@ def measure_sizes(program: Program,
         arith_bytes=arith_bytes,
     )
 
-
-def codec_sizes(program: Program,
-                candidates: Optional[Sequence[str]] = None) -> Dict[str, int]:
-    """Container bytes per registered codec (the registry dimension).
-
-    ``candidates`` defaults to every concrete registered codec — ids
-    whose codec has a wire id, i.e. everything except selectors like
-    ``auto``.  Each value is the size of the bytes that would land on
-    disk, envelope included, so codecs are compared fairly.
-    """
-    from ..codecs import codec_ids, compress_with, get_codec
-
-    if candidates is None:
-        candidates = [codec_id for codec_id in codec_ids()
-                      if get_codec(codec_id).wire_id]
-    return {codec_id: compress_with(codec_id, program).size
-            for codec_id in candidates}

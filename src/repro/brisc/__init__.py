@@ -16,16 +16,9 @@ from .codec import (
     decompress_function,
 )
 from .patterns import DEFAULT_BUDGET, Pattern, PatternDictionary, train
-from .serialize import (
-    BriscDictionaryError,
-    deserialize_dictionary,
-    serialize_dictionary,
-    serialized_size,
-)
 
 __all__ = [
     "BriscCompressed",
-    "BriscDictionaryError",
     "BriscError",
     "DEFAULT_BUDGET",
     "Pattern",
@@ -34,8 +27,5 @@ __all__ = [
     "compress_function",
     "decompress",
     "decompress_function",
-    "deserialize_dictionary",
-    "serialize_dictionary",
-    "serialized_size",
     "train",
 ]

@@ -45,26 +45,16 @@ _COMPRESS_INPUT = REGISTRY.counter(
 
 @dataclass
 class CompressedProgram:
-    """Compressor output: the container bytes plus measurement hooks.
-
-    Satisfies the :class:`repro.codecs.CompressedProgram` interface
-    (``codec_id``/``data``/``size``/``size_report``) so SSD output flows
-    through the same seams as every other registered codec.
-    """
+    """Compressor output: the container bytes plus measurement hooks."""
 
     data: bytes
     dictionary_stats: Dict[str, float]
     partition_stats: Dict[str, float]
     section_sizes: Dict[str, int]
-    codec_id: str = "ssd"
 
     @property
     def size(self) -> int:
         return len(self.data)
-
-    def size_report(self) -> Dict[str, int]:
-        """Per-section byte accounting (the codec-interface spelling)."""
-        return dict(self.section_sizes)
 
 
 def _encode_item_streams(dictionary: SSDDictionary, plan,

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from ..errors import ChecksumMismatch, CorruptContainer, LimitExceeded
 from ..lz import lz77
@@ -71,7 +71,7 @@ from .hints import decode_order, encode_order
 MAGIC = b"SSD1"
 #: current magic
 MAGIC_V2 = b"SSD2"
-#: version-3 magic — the multi-codec envelope, decoded by ``repro.codecs``
+#: retired version-3 magic (a multi-codec envelope); refused on read
 MAGIC_V3 = b"SSD3"
 #: the format version :func:`serialize` emits by default
 FORMAT_VERSION = 2
@@ -305,12 +305,7 @@ def parse(data: bytes,
             raise ContainerError(f"unsupported container version {version}",
                                  section="header", offset=4)
     elif magic == MAGIC_V3:
-        # v3 is a codec envelope, not an SSD section layout; this layer
-        # cannot know which payload decoder applies.
-        raise ContainerError(
-            "version-3 container: open it through repro.codecs "
-            "(open_any/decompress_any), which dispatches on the codec id",
-            section="header", offset=0)
+        _refuse_v3()
     else:
         raise ContainerError("bad magic; not an SSD container",
                              section="header", offset=0)
@@ -426,18 +421,21 @@ def parse(data: bytes,
                              profile_hints_blob=profile_hints_blob)
 
 
-def container_version(data: bytes) -> int:
-    """The format version of ``data`` (1, 2 or 3); raises on bad magic.
+def _refuse_v3() -> NoReturn:
+    raise ContainerError(
+        "version-3 (SSD3) envelope is retired; only SSD1 and SSD2 "
+        "containers are readable", section="header", offset=0)
 
-    Version 3 is the multi-codec envelope; its payload is decoded by the
-    registered codec (``repro.codecs``), not by :func:`parse`.
-    """
+
+def container_version(data: bytes) -> int:
+    """The format version of ``data`` (1 or 2); raises on any other magic,
+    the retired ``SSD3`` envelope included."""
     if data[:4] == MAGIC:
         return 1
     if data[:4] == MAGIC_V2:
         return 2
     if data[:4] == MAGIC_V3:
-        return 3
+        _refuse_v3()
     raise ContainerError("bad magic; not an SSD container",
                          section="header", offset=0)
 

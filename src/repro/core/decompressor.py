@@ -60,12 +60,6 @@ class SSDReader:
     _fn_lock: threading.Lock = field(default_factory=threading.Lock,
                                      repr=False, compare=False)
 
-    #: uniform reader surface (see ``repro.codecs.CodecReader``)
-    codec_id: str = "ssd"
-    #: SSD decodes at basic-block granularity, so the JIT can translate
-    #: straight from decoded items without materializing whole functions
-    supports_block_decode: bool = True
-
     @property
     def function_count(self) -> int:
         return len(self.sections.function_names)

@@ -18,7 +18,7 @@ paper's incremental-decompression claim (and the start of its
 application-startup story).
 
 This is the one paging core.  The source is anything reader-shaped
-(:class:`FunctionSource`): a local codec reader, or the served container
+(:class:`FunctionSource`): a local ``SSDReader``, or the served container
 behind :class:`repro.serve.client.RemoteProgram`, which is a
 ``LazyProgram`` whose functions travel over the wire.  Predictive
 prefetch lives where the access stream is seen, in the code server.
@@ -30,6 +30,7 @@ import threading
 from typing import Callable, Dict, Iterable, Iterator, Protocol, Set
 
 from ..isa import Function
+from .decompressor import open_container
 
 
 class FunctionSource(Protocol):
@@ -102,7 +103,7 @@ class LazyProgram:
     Duck-types the pieces the interpreter (and most analyses) use:
     ``name``, ``entry``, ``functions`` (indexable, measurable).  Functions
     are fetched from ``reader.function`` on first access.  ``reader`` is
-    any :class:`FunctionSource`: every codec's reader is one.
+    any :class:`FunctionSource`: an ``SSDReader`` or a remote source.
     """
 
     def __init__(self, reader: FunctionSource) -> None:
@@ -137,7 +138,5 @@ class LazyProgram:
 
 
 def lazy_program(container_bytes: bytes) -> LazyProgram:
-    """One call: container bytes (any codec) -> lazily-decompressed program."""
-    from ..codecs import open_any  # late: repro.codecs builds on repro.core
-
-    return LazyProgram(open_any(container_bytes))
+    """One call: container bytes -> lazily-decompressed program."""
+    return LazyProgram(open_container(container_bytes))

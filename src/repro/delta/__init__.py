@@ -13,8 +13,7 @@ as a small, self-describing **patch** instead of a full transfer.
   (zero-function containers related programs diff small against).
 
 The serve stack speaks patches over ``GET_DELTA`` (docs/PROTOCOL.md),
-the ``ssd-delta`` codec (wire id 4) wraps standalone patches into v3
-envelopes, and ``ssd delta make|apply|push`` drives it from the CLI.
+and ``ssd delta make|apply|push`` drives them from the CLI.
 See docs/DELTA.md for the format and the negotiation protocol.
 """
 

@@ -17,7 +17,7 @@ u8       mode (0 = RAW, 1 = SECTIONS)
 **RAW** bodies are one byte delta over the whole container
 (:func:`repro.lz.lz77.compress` of the target given the base, with no
 window cap) — always available, used when either side does not
-parse as a plain SSD container (v1, v3 envelopes, foreign codecs).
+parse as an SSD container or the target is not v2.
 
 **SECTIONS** bodies exploit the split-stream container layout: the
 base's blobs (function-name stream, common base/tree dictionaries,
@@ -644,9 +644,9 @@ def _apply_sections(base: bytes, reader: ByteReader,
 def make_patch(base: bytes, target: bytes) -> bytes:
     """Encode ``target`` as a patch against ``base``.
 
-    ``base=b""`` produces a *standalone* patch (the ``ssd-delta``
-    codec's registry-compatible form).  The smaller of the RAW and
-    SECTIONS bodies wins; both reconstruct byte-identically.
+    ``base=b""`` produces a *standalone* patch, which rebuilds the
+    target from nothing.  The smaller of the RAW and SECTIONS bodies
+    wins; both reconstruct byte-identically.
     """
     body = lz77.compress(target, base=base, window=None)
     mode = MODE_RAW

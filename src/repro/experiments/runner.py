@@ -8,7 +8,6 @@ Usage::
     ssd-repro figure3
     ssd-repro throughput
     ssd-repro ablations
-    ssd-repro codecs
     ssd-repro delta
     ssd-repro all [--scale 0.25] [--out results.txt]
 
@@ -25,7 +24,6 @@ from typing import List, Optional
 
 from . import (
     ablations,
-    codecs,
     delta,
     figure3,
     startup,
@@ -45,7 +43,6 @@ EXHIBITS = {
     "throughput": lambda ctx, args: throughput.run(ctx),
     "startup": lambda ctx, args: startup.run(ctx),
     "ablations": lambda ctx, args: ablations.run(ctx),
-    "codecs": lambda ctx, args: codecs.run(ctx),
     "delta": lambda ctx, args: delta.run(ctx),
 }
 

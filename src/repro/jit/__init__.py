@@ -27,7 +27,6 @@ from .costs import (
 )
 from ..core.copy_phase import ExternalBranch, TranslatedFragment, copy_translate_range
 from .block_translator import BlockTranslator
-from .fallback import FallbackTranslator
 from .instruction_table import InstructionTables, build_table_for_layout, build_tables
 from .resilience import QuarantineRecord, ResilientRuntime, run_lazy
 from .runtime import (
@@ -51,7 +50,6 @@ __all__ = [
     "BufferStats",
     "CLOCK_HZ",
     "EXEC_CYCLES_PER_BYTE",
-    "FallbackTranslator",
     "InstructionTables",
     "PERMANENT_SIZE_THRESHOLD",
     "PureLRUBuffer",

@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Union
 
-from ..core.decompressor import SSDReader
+from ..core.decompressor import SSDReader, open_container
 from ..core.lazy import LazyProgram
 from ..errors import BufferCapacityError, ReproError
 from ..obs import REGISTRY
 from .buffer import TranslationBuffer
-from .fallback import FallbackTranslator
 from .translator import TranslationResult, Translator
 
 _QUARANTINES = REGISTRY.counter(
@@ -53,12 +52,9 @@ class QuarantineRecord:
 class ResilientRuntime:
     """A JIT runtime that degrades per-function instead of dying.
 
-    ``source`` is either container bytes (any codec; dispatched through
-    ``repro.codecs``) or an already-open reader.  Readers advertising
-    ``supports_block_decode`` (SSD) translate by block copy
-    (:class:`Translator`); any other codec reader goes through the
-    whole-function :class:`FallbackTranslator` — both degrade per
-    function the same way.  ``buffer`` (optional) is the translation
+    ``source`` is either container bytes or an already-open
+    :class:`SSDReader`; functions translate by block copy
+    (:class:`Translator`).  ``buffer`` (optional) is the translation
     buffer native code must fit into; allocation failures quarantine
     rather than propagate.
     """
@@ -66,19 +62,15 @@ class ResilientRuntime:
     def __init__(self, source: Union[bytes, bytearray, SSDReader],
                  buffer: Optional[TranslationBuffer] = None) -> None:
         if isinstance(source, (bytes, bytearray)):
-            from ..codecs import open_any  # late: repro.codecs imports core
-            self.reader = open_any(bytes(source))
+            self.reader = open_container(bytes(source))
         else:
             self.reader = source
         self.buffer = buffer
         self.quarantine: Dict[int, QuarantineRecord] = {}
         self._translations: Dict[int, TranslationResult] = {}
-        self.translator: Optional[Union[Translator, FallbackTranslator]] = None
+        self.translator: Optional[Translator] = None
         try:
-            if getattr(self.reader, "supports_block_decode", True):
-                self.translator = Translator(self.reader)
-            else:
-                self.translator = FallbackTranslator(self.reader)
+            self.translator = Translator(self.reader)
         except ReproError as exc:
             # Phase one is shared state: with no instruction tables, no
             # function can translate.  All of them interpret.

@@ -134,11 +134,7 @@ class ContainerMeta:
     program_name: str
     entry: int
     function_names: List[str] = field(default_factory=list)
-    #: registry id of the codec that decodes this container server-side
-    codec_id: str = "ssd"
-    #: the codec's v3-envelope byte (1=ssd, 2=brisc, 3=lz77-raw, 4=ssd-delta)
-    codec_wire_id: int = 1
-    #: container format version of the stored bytes (1, 2, or 3)
+    #: container format version of the stored bytes (1 or 2)
     container_version: int = 2
 
     @property
@@ -335,11 +331,10 @@ class ServeClient:
         response = self._expect(protocol.GET_META,
                                 protocol.build_get_meta(container_id),
                                 protocol.OK_META, op="meta")
-        (name, entry, function_names, codec_id, codec_wire_id,
-         container_version) = protocol.parse_ok_meta(response.body)
+        name, entry, function_names, container_version = \
+            protocol.parse_ok_meta(response.body)
         return ContainerMeta(container_id=container_id, program_name=name,
                              entry=entry, function_names=function_names,
-                             codec_id=codec_id, codec_wire_id=codec_wire_id,
                              container_version=container_version)
 
     def function(self, container_id: str, findex: int) -> Function:

@@ -34,13 +34,17 @@ from ..isa import Function, Instruction
 from ..isa.encoding import decode_instructions, encode_instructions
 from ..lz.varint import ByteReader, ByteWriter, decode_uvarint, encode_uvarint
 
-#: protocol version this implementation speaks.  Version 2 added the
-#: codec id to OK_META (the server names which registered codec decodes
-#: the container).  Version 3 adds the code-update surface: whole-
+#: protocol version this implementation speaks.  Version 2 added a
+#: codec id to OK_META.  Version 3 adds the code-update surface: whole-
 #: container fetch (GET_CONTAINER), delta fetch (GET_DELTA with the
-#: E_NO_BASE negotiation), and the codec wire id + container version in
-#: OK_META.
+#: E_NO_BASE negotiation), and a codec wire id + container version in
+#: OK_META.  SSD is the only codec, so the two codec fields are the
+#: constants below: written as-is, skipped on read.
 PROTOCOL_VERSION = 3
+
+#: OK_META's codec id and codec wire id (fixed; kept for layout only)
+META_CODEC_ID = b"ssd"
+META_CODEC_WIRE_ID = 1
 
 #: frames larger than this are rejected before allocation (both sides)
 MAX_FRAME_BYTES = 1 << 26
@@ -376,8 +380,6 @@ def parse_ok_put(body: bytes) -> Tuple[str, int, int]:
 
 def build_ok_meta(program_name: str, entry: int,
                   function_names: List[str],
-                  codec_id: str = "ssd",
-                  codec_wire_id: int = 1,
                   container_version: int = 2) -> bytes:
     writer = ByteWriter()
     name = program_name.encode("utf-8")
@@ -388,37 +390,33 @@ def build_ok_meta(program_name: str, entry: int,
     writer.write_uvarint(len(function_names))
     writer.write_uvarint(len(joined))
     writer.write_bytes(joined)
-    codec = codec_id.encode("utf-8")
-    writer.write_uvarint(len(codec))
-    writer.write_bytes(codec)
-    writer.write_u8(codec_wire_id)
+    writer.write_uvarint(len(META_CODEC_ID))
+    writer.write_bytes(META_CODEC_ID)
+    writer.write_u8(META_CODEC_WIRE_ID)
     writer.write_u8(container_version)
     return writer.getvalue()
 
 
-def parse_ok_meta(body: bytes) -> Tuple[str, int, List[str], str, int, int]:
-    """Returns ``(program_name, entry, function_names, codec_id,
-    codec_wire_id, container_version)``."""
+def parse_ok_meta(body: bytes) -> Tuple[str, int, List[str], int]:
+    """Returns ``(program_name, entry, function_names, container_version)``;
+    the codec id and codec wire id are read and discarded."""
     reader = ByteReader(body)
     try:
         program_name = reader.read_bytes(reader.read_uvarint()).decode("utf-8")
         entry = reader.read_uvarint()
         count = reader.read_uvarint()
         joined = reader.read_bytes(reader.read_uvarint()).decode("utf-8")
-        codec_id = reader.read_bytes(reader.read_uvarint()).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"OK_META strings are not UTF-8: {exc}") from exc
-    codec_wire_id = reader.read_u8()
+    reader.read_bytes(reader.read_uvarint())  # codec id
+    reader.read_u8()                          # codec wire id
     container_version = reader.read_u8()
     names = joined.split("\n") if joined else []
     if len(names) != count:
         raise ProtocolError(f"OK_META declares {count} function names, "
                             f"carries {len(names)}")
-    if not codec_id:
-        raise ProtocolError("OK_META carries an empty codec id")
     _expect_end(reader, "OK_META")
-    return (program_name, entry, names, codec_id, codec_wire_id,
-            container_version)
+    return program_name, entry, names, container_version
 
 
 def encode_instruction_slice(insns: List[Instruction], start: int) -> bytes:

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from ..codecs import CodecReader, open_any
+from ..core import SSDReader, container_version, open_container
 from ..errors import (
     ChecksumMismatch,
     CorruptContainer,
@@ -320,27 +320,25 @@ class SSDServer(FrameService):
                 follower.set_attr("coalesced", True)
         return await asyncio.shield(task)
 
-    def _reader_key(self, container_id: str) -> Tuple:
-        """Reader cache key; includes the codec id, so containers that
-        decode under different codecs can never collide (and an eviction
-        audit can attribute bytes per codec)."""
-        # KeyError for unknown ids -> E_NOT_FOUND, same as store.get.
-        return ("reader", self.store.codec_of(container_id), container_id)
+    def _require(self, container_id: str) -> None:
+        """An unknown id answers E_NOT_FOUND before taking a decode slot."""
+        if container_id not in self.store:
+            raise KeyError(f"unknown container {container_id}")
 
-    def _reader_for(self, container_id: str) -> CodecReader:
+    def _reader_for(self, container_id: str) -> SSDReader:
         """Synchronous (thread-side) reader lookup/decode, LRU-cached."""
-        key = self._reader_key(container_id)
+        key = ("reader", container_id)
         reader = self.cache.get(key)
         if reader is None:
             data = self.store.get(container_id)   # KeyError -> E_NOT_FOUND
-            reader = open_any(data, limits=self.store.limits)
+            reader = open_container(data, limits=self.store.limits)
             # Charge the container's size as the proxy for its decoded
             # dictionary state (layouts scale with the dictionary blobs).
             self.cache.put(key, reader, size=len(data))
         self._seed_hints(container_id, reader)
         return reader
 
-    def _seed_hints(self, container_id: str, reader: CodecReader) -> None:
+    def _seed_hints(self, container_id: str, reader: SSDReader) -> None:
         """Seed the prefetcher from the container's profile hints (once).
 
         Hints carry in-container successor edges; mapping them onto
@@ -354,7 +352,7 @@ class SSDServer(FrameService):
             if container_id in self._seeded:
                 return
             self._seeded.add(container_id)
-        hints = getattr(reader, "profile_hints", None)
+        hints = reader.profile_hints
         if hints is None:
             return
         self.prefetcher.seed(
@@ -385,14 +383,13 @@ class SSDServer(FrameService):
                                        seconds=time.perf_counter() - started)
             body = protocol.build_ok_function(findex, function.name,
                                               function.insns)
-            self.cache.put(("func", reader.codec_id, container_id, findex),
-                           body, size=len(body))
+            self.cache.put(("func", container_id, findex), body,
+                           size=len(body))
         return body
 
     async def _function_body(self, container_id: str, findex: int) -> bytes:
         """Cache -> coalesce -> decode; returns the OK_FUNCTION body."""
-        key = ("func", self.store.codec_of(container_id), container_id,
-               findex)
+        key = ("func", container_id, findex)
         cached = self.cache.get(key)
         if cached is not None:
             if key in self._prefetched:
@@ -402,6 +399,7 @@ class SSDServer(FrameService):
                 # run — keep the frontier ahead of it.
                 self._kick_prefetch((container_id, findex))
             return cached
+        self._require(container_id)
         body = await self._coalesced(key, self._decode_function,
                                      container_id, findex)
         # A demand miss is where prediction pays; plain warm hits skip
@@ -449,12 +447,7 @@ class SSDServer(FrameService):
                 return
             if self._waiting >= max(1, self.config.max_queue_depth // 2):
                 return
-            next_cid, next_findex = nxt
-            try:
-                codec = self.store.codec_of(next_cid)
-            except KeyError:
-                continue
-            key = ("func", codec, next_cid, next_findex)
+            key = ("func", *nxt)
             if key in self.cache or key in self._inflight:
                 continue
             if key in self._prefetched:
@@ -468,8 +461,7 @@ class SSDServer(FrameService):
             # before this task resumes.
             self._prefetched.add(key)
             try:
-                await self._coalesced(key, self._decode_function,
-                                      next_cid, next_findex)
+                await self._coalesced(key, self._decode_function, *nxt)
             except (_Busy, ReproError, KeyError, IndexError):
                 self._prefetched.discard(key)
                 continue
@@ -483,23 +475,20 @@ class SSDServer(FrameService):
         data = protocol.parse_put(body)
         container_id, reader = await self._coalesced(
             ("put", container_id_of(data)), self.store.put, data)
-        self.cache.put(("reader", reader.codec_id, container_id), reader,
-                       size=len(data))
+        self.cache.put(("reader", container_id), reader, size=len(data))
         self._seed_hints(container_id, reader)
         return protocol.OK_PUT, protocol.build_ok_put(
             container_id, reader.function_count, reader.entry)
 
     async def _handle_get_meta(self, body: bytes) -> Tuple[int, bytes]:
         container_id = protocol.parse_get_meta(body)
-        reader = await self._coalesced(self._reader_key(container_id),
+        self._require(container_id)
+        reader = await self._coalesced(("reader", container_id),
                                        self._reader_for, container_id)
-        from ..codecs import get_codec
-        from ..core import container_version
         data = self.store.get(container_id)
         return protocol.OK_META, protocol.build_ok_meta(
             reader.program_name, reader.entry,
-            list(reader.function_names), reader.codec_id,
-            codec_wire_id=get_codec(reader.codec_id).wire_id,
+            list(reader.function_names),
             container_version=container_version(data))
 
     async def _handle_get_container(self, body: bytes) -> Tuple[int, bytes]:

@@ -23,8 +23,13 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..codecs import CodecReader, codec_of, integrity_report_any, open_any
-from ..core import DEFAULT_LIMITS, DecodeLimits
+from ..core import (
+    DEFAULT_LIMITS,
+    DecodeLimits,
+    SSDReader,
+    integrity_report,
+    open_container,
+)
 from ..errors import CorruptContainer, NoBaseError
 
 
@@ -52,8 +57,6 @@ class ContainerStore:
         self.limits = limits
         self._lock = threading.Lock()
         self._containers: Dict[str, bytes] = {}
-        #: codec id per admitted container (set at verify time)
-        self._codecs: Dict[str, str] = {}
         #: LRU of synthesized patches, keyed (base_id, target_id)
         self._patches: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
         self.admitted = 0
@@ -71,27 +74,25 @@ class ContainerStore:
 
     # -- admission ----------------------------------------------------------
 
-    def verify(self, data: bytes) -> CodecReader:
-        """The admission gate: integrity walk + open under the right codec.
+    def verify(self, data: bytes) -> SSDReader:
+        """The admission gate: integrity walk + phase-one open.
 
-        Codec dispatch happens here — v1/v2 bytes open as ``ssd``, v3
-        envelopes under whatever codec their id byte names (an unknown
-        id is an admission failure like any other corruption).  Returns
-        the opened reader (callers typically cache it) or raises
-        :class:`AdmissionError`.
+        Returns the opened reader (callers typically cache it) or raises
+        :class:`AdmissionError`; bytes that are not an SSD1/SSD2
+        container (the retired ``SSD3`` envelope included) fail the walk.
         """
-        report = integrity_report_any(data, limits=self.limits)
+        report = integrity_report(data, limits=self.limits)
         if report.error is not None:
             raise AdmissionError(f"integrity walk failed: {report.error}")
         if report.corrupt_sections:
             names = ", ".join(span.name for span in report.corrupt_sections)
             raise AdmissionError(f"checksum-corrupt sections: {names}")
         try:
-            return open_any(data, limits=self.limits)
+            return open_container(data, limits=self.limits)
         except CorruptContainer as exc:
             raise AdmissionError(f"decode failed: {exc}") from exc
 
-    def put(self, data: bytes, persist: bool = True) -> Tuple[str, CodecReader]:
+    def put(self, data: bytes, persist: bool = True) -> Tuple[str, SSDReader]:
         """Admit container bytes; returns ``(container_id, reader)``.
 
         Idempotent: re-putting stored bytes re-verifies nothing and
@@ -101,7 +102,7 @@ class ContainerStore:
         with self._lock:
             known = container_id in self._containers
         if known:
-            return container_id, open_any(data, limits=self.limits)
+            return container_id, open_container(data, limits=self.limits)
         try:
             reader = self.verify(data)
         except AdmissionError:
@@ -110,27 +111,12 @@ class ContainerStore:
             raise
         with self._lock:
             self._containers[container_id] = data
-            self._codecs[container_id] = reader.codec_id
             self.admitted += 1
         if persist and self.root is not None:
             (self.root / f"{container_id}.ssd").write_bytes(data)
         return container_id, reader
 
     # -- lookups ------------------------------------------------------------
-
-    def codec_of(self, container_id: str) -> str:
-        """Codec id of an admitted container (cheap; recorded at put)."""
-        with self._lock:
-            cached = self._codecs.get(container_id)
-            if cached is not None:
-                return cached
-            data = self._containers.get(container_id)
-        if data is None:
-            raise KeyError(f"unknown container {container_id}")
-        codec_id = codec_of(data)
-        with self._lock:
-            self._codecs[container_id] = codec_id
-        return codec_id
 
     def get(self, container_id: str) -> bytes:
         with self._lock:

@@ -4,8 +4,6 @@ A downstream user's interface to the library without writing Python::
 
     ssd compress  program.asm -o program.ssd     # assemble + compress
     ssd compress  bench:xlisp@0.25 -o xlisp.ssd  # synthetic benchmark
-    ssd compress  a.asm -o a.ssd --codec brisc   # any registered codec
-    ssd codecs    [--json]                       # list registered codecs
     ssd decompress program.ssd -o program.asm    # back to assembly text
     ssd inspect   program.ssd [--json]           # sections, dictionary, stats
     ssd run       program.ssd [--lazy]           # execute in the VM
@@ -34,25 +32,16 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .codecs import (
-    UnknownCodec,
-    codec_ids,
-    codec_of,
-    compress_with,
-    decompress_any,
-    get_codec,
-    integrity_report_any,
-    open_any,
-)
 from .core import (
     MAX_SEQUENCE_LENGTH,
     compress,
     container_version,
     decompress,
+    integrity_report,
     open_container,
 )
 from .core.lazy import LazyProgram
-from .errors import ReproError
+from .errors import CorruptContainer, ReproError
 from .isa import Program, assemble, disassemble, validate_program
 from .perf import PhaseProfile
 from .vm import native_size, run_program
@@ -114,19 +103,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
     from .obs import TRACER
 
-    if args.max_len is not None and args.max_len < 1:
+    if args.max_len < 1:
         raise ToolError(f"--max-len must be >= 1, got {args.max_len}")
-    try:
-        get_codec(args.codec)
-    except UnknownCodec as exc:
-        raise ToolError(str(exc)) from None
-    if args.codec != "ssd":
-        ssd_only = [flag for flag, value in (("--base-codec", args.base_codec),
-                                             ("--max-len", args.max_len))
-                    if value is not None]
-        if ssd_only:
-            raise ToolError(f"{' and '.join(ssd_only)} only apply to "
-                            f"--codec ssd, not {args.codec}")
     program = load_program(args.input)
     validate_program(program)
     profile = PhaseProfile() if args.profile or args.trace else None
@@ -135,19 +113,13 @@ def cmd_compress(args: argparse.Namespace) -> int:
         if args.trace:
             root = stack.enter_context(
                 TRACER.span("cli.compress", input=args.input))
-        if args.codec == "ssd":
-            compressed = compress(
-                program, codec=args.base_codec or "lz",
-                max_len=(MAX_SEQUENCE_LENGTH if args.max_len is None
-                         else args.max_len),
-                profile=profile)
-        else:
-            compressed = compress_with(args.codec, program)
+        compressed = compress(program, codec=args.base_codec,
+                              max_len=args.max_len, profile=profile)
     with open(args.output, "wb") as handle:
         handle.write(compressed.data)
     x86 = native_size(program)
     print(f"{program.name}: {program.instruction_count} instructions, "
-          f"native {x86} B -> {compressed.size} B via {compressed.codec_id} "
+          f"native {x86} B -> {compressed.size} B "
           f"({compressed.size / x86:.1%} of native)")
     if args.profile:
         print(profile.format(title="compress phases"), file=sys.stderr)
@@ -158,12 +130,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 def cmd_decompress(args: argparse.Namespace) -> int:
     profile = PhaseProfile() if args.profile else None
-    data = _read_binary(args.input)
-    if codec_of(data) == "ssd":
-        program = decompress(data, profile=profile)
-    else:
-        # Non-SSD codecs have no phase structure to profile.
-        program = decompress_any(data)
+    program = decompress(_read_binary(args.input), profile=profile)
     if profile is not None:
         print(profile.format(title="decompress phases"), file=sys.stderr)
     text = disassemble(program)
@@ -181,8 +148,6 @@ def _inspect_json(data: bytes, reader, function: Optional[int]) -> dict:
     sections = reader.sections
     payload = {
         "program": sections.program_name,
-        "codec": reader.codec_id,
-        "codec_wire_id": get_codec(reader.codec_id).wire_id,
         "container_bytes": len(data),
         "format_version": container_version(data),
         "container_id": reader.container_hash,
@@ -227,59 +192,8 @@ def _inspect_json(data: bytes, reader, function: Optional[int]) -> dict:
     return payload
 
 
-def _inspect_generic_json(data: bytes, reader, function: Optional[int]) -> dict:
-    """``ssd inspect --json`` for codecs without SSD's section surface."""
-    names = list(reader.function_names)
-    payload = {
-        "program": reader.program_name,
-        "codec": reader.codec_id,
-        "codec_wire_id": get_codec(reader.codec_id).wire_id,
-        "container_bytes": len(data),
-        "format_version": container_version(data),
-        "container_id": reader.container_hash,
-        "entry": reader.entry,
-        "entry_name": names[reader.entry] if names else None,
-        "functions": reader.function_count,
-        "function_names": names,
-    }
-    if function is not None:
-        if not 0 <= function < reader.function_count:
-            raise ToolError(f"function index {function} out of range")
-        payload["function"] = {
-            "index": function,
-            "name": names[function],
-            "instructions": [insn.render() for insn
-                             in reader.function(function).insns],
-        }
-    return payload
-
-
-def _inspect_generic(data: bytes, reader, args: argparse.Namespace) -> int:
-    """Human-readable inspect for non-SSD codec containers."""
-    if args.json:
-        print(json.dumps(_inspect_generic_json(data, reader, args.function),
-                         sort_keys=True))
-        return 0
-    names = list(reader.function_names)
-    print(f"program:   {reader.program_name}")
-    print(f"codec:     {reader.codec_id}")
-    print(f"functions: {reader.function_count} "
-          f"(entry: {names[reader.entry]})")
-    print(f"container: {len(data)} bytes")
-    if args.function is not None:
-        findex = args.function
-        if not 0 <= findex < reader.function_count:
-            raise ToolError(f"function index {findex} out of range")
-        print(f"\nfunction {findex} ({names[findex]}):")
-        for insn in reader.function(findex).insns:
-            print(f"    {insn.render()}")
-    return 0
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
     data = _read_binary(args.input)
-    if codec_of(data) != "ssd":
-        return _inspect_generic(data, open_any(data), args)
     reader = open_container(data)
     sections = reader.sections
     if args.json:
@@ -319,7 +233,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def _integrity_json(data: bytes) -> Tuple[dict, int]:
     """Stable-keyed machine-readable form of ``ssd verify`` (no source)."""
-    report = integrity_report_any(data)
+    report = integrity_report(data)
     payload = {
         "container_bytes": len(data),
         "format_version": report.version,
@@ -341,9 +255,9 @@ def _integrity_json(data: bytes) -> Tuple[dict, int]:
 
 def _print_integrity(data: bytes) -> int:
     """Standalone integrity check: CRCs + structural walk, no source."""
-    report = integrity_report_any(data)
-    version = f"v{report.version}" if report.version else "unrecognized"
-    print(f"container: {len(data)} bytes, format {version}")
+    container_version(data)  # raises unless the magic is SSD1 or SSD2
+    report = integrity_report(data)
+    print(f"container: {len(data)} bytes, format v{report.version}")
     for span in report.spans:
         if span.crc_ok is None:
             status = "-" if report.version == 1 else "?"
@@ -375,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return status
         return _print_integrity(data)
     program = load_program(args.source)
-    restored = decompress_any(data)
+    restored = decompress(data)
     mismatches = []
     if len(restored.functions) != len(program.functions):
         mismatches.append(
@@ -418,37 +332,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.cases <= 0:
         raise ToolError(f"--cases must be positive, got {args.cases}")
-    try:
-        get_codec(args.codec)
-    except UnknownCodec as exc:
-        raise ToolError(str(exc)) from None
     if args.input.startswith("bench:") or args.input.endswith(".asm"):
-        data = compress_with(args.codec, load_program(args.input)).data
+        data = compress(load_program(args.input)).data
     else:
         data = _read_binary(args.input)
         if not data.startswith(b"SSD"):
             raise ToolError(f"{args.input} is not an SSD container")
-    report = sweep(data, cases=args.cases, seed=args.seed,
-                   decode=decompress_any)
+    report = sweep(data, cases=args.cases, seed=args.seed)
     print(report.format())
     return 0 if report.ok else 1
-
-
-def cmd_codecs(args: argparse.Namespace) -> int:
-    """List every registered codec (the ``repro.codecs`` registry)."""
-    rows = []
-    for codec_id in codec_ids():
-        codec = get_codec(codec_id)
-        rows.append({"id": codec.codec_id,
-                     "wire_id": codec.wire_id,
-                     "description": codec.description})
-    if args.json:
-        print(json.dumps({"codecs": rows}, sort_keys=True))
-        return 0
-    for row in rows:
-        wire = str(row["wire_id"]) if row["wire_id"] else "-"
-        print(f"{row['id']:>10}  wire {wire:>2}  {row['description']}")
-    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -463,9 +355,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             root = stack.enter_context(
                 TRACER.span("cli.run", input=args.input, lazy=args.lazy))
         if args.lazy:
-            program = LazyProgram(open_any(data))
+            program = LazyProgram(open_container(data))
         else:
-            program = decompress_any(data)
+            program = decompress(data)
         inputs = [int(v) for v in args.read] if args.read else None
         result = run_program(program, inputs=inputs, fuel=args.fuel)
     for value in result.output:
@@ -535,8 +427,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(json.dumps(snapshot, sort_keys=True),
                       file=sys.stderr, flush=True)
 
+        # The loop holds tasks weakly: keep a reference to each one.
+        tasks: List[asyncio.Task] = []
         if args.metrics_interval is not None:
-            asyncio.create_task(report_metrics())
+            tasks.append(asyncio.create_task(report_metrics()))
 
         # SIGTERM drains gracefully: finish in-flight decodes, answer new
         # frames E_UNAVAILABLE (a router re-routes), then exit.
@@ -552,14 +446,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
             stop.set()
 
         def _on_sigterm() -> None:
-            loop.create_task(_drain_and_stop())
+            tasks.append(loop.create_task(_drain_and_stop()))
 
         try:
             loop.add_signal_handler(signal.SIGTERM, _on_sigterm)
         except (NotImplementedError, RuntimeError):
             pass  # platform without loop signal handlers
-        await stop.wait()
-        await server.stop()
+        try:
+            await stop.wait()
+        finally:
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            await server.stop()
 
     try:
         asyncio.run(main())
@@ -859,7 +758,6 @@ def cmd_delta(args: argparse.Namespace) -> int:
     import hashlib
 
     from .delta import apply_patch, make_patch, patch_info
-    from .errors import CorruptContainer
 
     if args.action == "make":
         base = _read_binary(args.base)
@@ -946,13 +844,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="assemble + compress to a .ssd file")
     p.add_argument("input", help="asm file or bench:<name>[@scale]")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--codec", default="ssd", metavar="ID",
-                   help="registered codec id (see `ssd codecs`); "
-                        "default: ssd")
-    p.add_argument("--base-codec", choices=("lz", "delta"), default=None,
-                   help="SSD base-entry codec (ssd codec only; default: lz)")
-    p.add_argument("--max-len", type=int, default=None,
-                   help="longest sequence entry (ssd codec only; default: 4)")
+    p.add_argument("--base-codec", choices=("lz", "delta"), default="lz",
+                   help="base-entry codec (default: lz)")
+    p.add_argument("--max-len", type=int, default=MAX_SEQUENCE_LENGTH,
+                   help="longest sequence entry (default: "
+                        f"{MAX_SEQUENCE_LENGTH})")
     p.add_argument("--profile", action="store_true",
                    help="print per-phase timings to stderr")
     p.add_argument("--trace", default=None, metavar="FILE",
@@ -990,14 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help=".ssd file, asm file, or bench:<name>[@scale]")
     p.add_argument("--cases", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--codec", default="ssd", metavar="ID",
-                   help="codec used to compress asm/bench inputs")
     p.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser("codecs", help="list registered compression codecs")
-    p.add_argument("--json", action="store_true",
-                   help="emit one stable-keyed JSON object to stdout")
-    p.set_defaults(func=cmd_codecs)
 
     p = sub.add_parser("run", help="execute a compressed program")
     p.add_argument("input")

@@ -87,22 +87,6 @@ class TestSizes:
         report = measure_sizes(program)
         assert report.ssd_dictionary_bytes + report.ssd_item_bytes <= report.ssd_bytes
 
-    def test_codec_sizes_covers_registry(self, program):
-        from repro.analysis import codec_sizes
-
-        sizes = codec_sizes(program)
-        assert {"ssd", "brisc", "lz77-raw"} <= set(sizes)
-        assert "auto" not in sizes  # selectors never land on disk
-        assert all(size > 0 for size in sizes.values())
-
-    def test_codec_sizes_explicit_candidates(self, program):
-        from repro.analysis import codec_sizes
-        from repro.core import compress
-
-        sizes = codec_sizes(program, candidates=["ssd"])
-        assert set(sizes) == {"ssd"}
-        assert sizes["ssd"] == compress(program).size
-
 
 class TestOverhead:
     def test_decomposition_consistent(self, program):

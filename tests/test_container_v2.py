@@ -178,3 +178,50 @@ class TestDiagnostics:
         assert issubclass(ChecksumMismatch, ValueError)
         assert issubclass(TruncatedStream, EOFError)
         assert issubclass(LimitExceeded, ReproError)
+
+
+def _v3_envelope(wire_id: int, payload: bytes) -> bytes:
+    """A well-formed container in the retired v3 layout: ``SSD3``, version
+    byte 3, codec wire id, length-prefixed payload + CRC32, container CRC32
+    (wire id 2 was ``brisc``, 3 was ``lz77-raw``)."""
+    body = bytes([3, wire_id, len(payload)]) + payload
+    body += zlib.crc32(payload).to_bytes(4, "little")
+    return b"SSD3" + body + zlib.crc32(body).to_bytes(4, "little")
+
+
+class TestRetiredV3Envelope:
+    """``SSD3`` bytes are refused with a typed error at every entry point."""
+
+    @pytest.fixture(params=[2, 3], ids=["brisc", "lz77-raw"])
+    def envelope(self, request, container):
+        return _v3_envelope(request.param, container[:100])
+
+    def test_open_container_refuses(self, envelope):
+        from repro.core import open_container
+
+        with pytest.raises(CorruptContainer, match="SSD3.*retired") as info:
+            open_container(envelope)
+        assert "repro.codecs" not in str(info.value)
+        with pytest.raises(CorruptContainer, match="retired"):
+            container_version(envelope)
+
+    def test_store_refuses_and_counts(self, envelope):
+        from repro.serve import AdmissionError, ContainerStore
+
+        store = ContainerStore()
+        with pytest.raises(AdmissionError, match="retired"):
+            store.put(envelope)
+        assert store.rejected == 1 and len(store) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_cli_prints_one_error_line(self, envelope, command, tmp_path,
+                                       capsys):
+        from repro.tools import main
+
+        path = tmp_path / "old.ssd"
+        path.write_bytes(envelope)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: version-3 (SSD3) envelope")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err

@@ -1,21 +1,17 @@
 """End-to-end tests for the delta update path through repro.serve.
 
 Covers the new wire surface (GET_CONTAINER / GET_DELTA / E_NO_BASE),
-the store's patch synthesis + LRU, the client's verified
-``update_container`` swap-in with clean full-transfer fallback, and the
-``ssd-delta`` codec seam that ships standalone patches through the v3
-envelope.
+the store's patch synthesis + LRU, and the client's verified
+``update_container`` swap-in with clean full-transfer fallback.
 """
 
 import hashlib
 
 import pytest
 
-from repro.codecs import get_codec, open_any
-from repro.codecs.container import unwrap
 from repro.core import compress
 from repro.delta import apply_patch, make_patch
-from repro.errors import DeltaError, NoBaseError, RemoteError
+from repro.errors import NoBaseError, RemoteError
 from repro.isa import assemble
 from repro.serve import ServeClient, protocol, serve_in_thread
 from repro.serve.store import PATCH_CACHE_ENTRIES, ContainerStore
@@ -118,13 +114,10 @@ class TestServeWire:
             client.get_delta(target_id, "ee" * 32)
         assert excinfo.value.code == protocol.E_NO_BASE
 
-    def test_meta_carries_codec_wire_id_and_version(self, server):
+    def test_meta_carries_container_version(self, server):
         _handle, client = server
         container_id, _, _ = client.put(_container(5))
-        meta = client.meta(container_id)
-        assert meta.codec_id == "ssd"
-        assert meta.codec_wire_id == get_codec("ssd").wire_id
-        assert meta.container_version == 2
+        assert client.meta(container_id).container_version == 2
 
     def test_server_counts_delta_traffic(self, server):
         handle, client = server
@@ -182,31 +175,3 @@ class TestClientUpdate:
         assert not delta_used
         assert rebuilt == target
 
-
-class TestDeltaCodec:
-    def test_registered_with_wire_id_4(self):
-        codec = get_codec("ssd-delta")
-        assert codec.wire_id == 4
-
-    def test_standalone_container_roundtrips_via_open_any(self):
-        program = assemble(ASM.format(value=6))
-        compressed = get_codec("ssd-delta").compress(program)
-        reader = open_any(compressed.data)
-        assert reader.codec_id == "ssd-delta"
-        assert reader.program() == program
-
-    def test_envelope_payload_is_a_standalone_patch(self):
-        program = assemble(ASM.format(value=6))
-        compressed = get_codec("ssd-delta").compress(program)
-        wire_id, patch = unwrap(compressed.data)
-        assert wire_id == 4
-        from repro.delta import patch_info
-
-        assert patch_info(patch).standalone
-
-    def test_based_patch_refuses_direct_open(self):
-        program = assemble(ASM.format(value=6))
-        base = _container(3)
-        compressed = get_codec("ssd-delta").compress(program, base=base)
-        with pytest.raises(DeltaError, match="base container"):
-            open_any(compressed.data)

@@ -63,37 +63,40 @@ class TestDeliverableDocs:
                 pytest.fail(f"dangling reference {reference!r}")
 
 
-class TestCodecDocs:
-    """docs/CODECS.md stays in lock-step with the codec registry."""
+class TestOneContainerFormat:
+    """The docs describe one container format and no codec registry."""
 
-    def test_codecs_doc_lists_every_registered_codec(self):
-        from repro.codecs import codec_ids
+    def test_no_doc_names_the_codec_registry(self):
+        names = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + [
+            str(path.relative_to(ROOT))
+            for path in sorted((ROOT / "docs").glob("*.md"))]
+        for name in names:
+            doc = _read(name)
+            for phrase in ("repro.codecs", "ssd codecs"):
+                assert phrase not in doc, f"{name} names {phrase!r}"
 
-        doc = _read("docs/CODECS.md")
-        for codec_id in codec_ids():
-            assert f"`{codec_id}`" in doc, codec_id
+    def test_format_doc_lists_exactly_the_readable_magics(self):
+        from repro.core.container import container_version
+        from repro.errors import CorruptContainer
 
-    def test_codecs_doc_wire_ids_match_registry(self):
-        from repro.codecs import codec_ids, get_codec
+        rows = re.findall(r'^\| `"(SSD\d)"` \|[^|]*\|([^|]*)\|',
+                          _read("docs/FORMAT.md"), flags=re.MULTILINE)
+        assert rows, "format-version table missing"
+        documented = {magic for magic, checksums in rows
+                      if "retired" not in checksums}
 
-        doc = _read("docs/CODECS.md")
-        table_rows = re.findall(r"^\| `([a-z0-9-]+)` \| (\d+) \|", doc,
-                                flags=re.MULTILINE)
-        assert table_rows, "built-in codec table missing"
-        assert {row[0] for row in table_rows} == set(codec_ids())
-        for codec_id, wire_id in table_rows:
-            assert get_codec(codec_id).wire_id == int(wire_id), codec_id
+        def readable(magic):
+            try:
+                container_version(magic.encode() + bytes(16))
+            except CorruptContainer:
+                return False
+            return True
 
-    def test_format_doc_covers_v3_envelope(self):
-        from repro.codecs.container import MAGIC_V3
-
-        doc = _read("docs/FORMAT.md")
-        assert MAGIC_V3.decode() in doc
-        assert "codec wire id" in doc
-
-    def test_readme_and_design_link_codecs_doc(self):
-        assert "docs/CODECS.md" in _read("README.md")
-        assert "repro.codecs" in _read("DESIGN.md")
+        probed = {f"SSD{digit}" for digit in range(10)}
+        assert documented == {m for m in probed if readable(m)}
+        assert documented == {"SSD1", "SSD2"}
+        for magic, checksums in rows:
+            assert readable(magic) == ("retired" not in checksums), magic
 
 
 class TestRecordedResults:
@@ -181,11 +184,9 @@ class TestDeltaDoc:
         assert "docs/DELTA.md" in _read("DESIGN.md")
 
     def test_delta_doc_matches_code_constants(self):
-        from repro.codecs import get_codec
         from repro.experiments.delta import MAX_MEDIAN_UPDATE_RATIO
 
         doc = _read("docs/DELTA.md")
-        assert f"wire id {get_codec('ssd-delta').wire_id}" in doc
         assert f"{MAX_MEDIAN_UPDATE_RATIO:.0%}" in doc
 
     def test_delta_doc_references_real_api(self):
@@ -203,7 +204,6 @@ class TestDeltaDoc:
 
     def test_format_doc_covers_patch_layout(self):
         doc = _read("docs/FORMAT.md")
-        assert "ssd-delta" in doc
         assert "base SHA-256" in doc and "target SHA-256" in doc
 
     def test_protocol_doc_covers_delta_negotiation(self):

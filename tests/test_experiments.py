@@ -5,7 +5,6 @@ import pytest
 from repro.experiments import ExperimentContext
 from repro.experiments import (
     ablations,
-    codecs,
     delta,
     figure3,
     table1,
@@ -129,22 +128,6 @@ class TestAblations:
         assert "pure LRU" in out
 
 
-class TestCodecsExhibit:
-    def test_covers_every_concrete_codec(self, context):
-        out = codecs.run(context, names=["compress", "xlisp"])
-        for column in ("ssd B", "brisc B", "lz77-raw B", "auto pick"):
-            assert column in out, column
-        assert "compress" in out and "xlisp" in out
-
-    def test_concrete_codec_ids_exclude_selectors(self):
-        ids = codecs.concrete_codec_ids()
-        assert "auto" not in ids
-        assert {"ssd", "brisc", "lz77-raw"} <= set(ids)
-
-    def test_parser_accepts_codecs_exhibit(self):
-        assert build_parser().parse_args(["codecs"]).exhibit == "codecs"
-
-
 class TestDeltaExhibit:
     def test_reports_update_and_cold_install_columns(self, context):
         out = delta.run(context, names=["xlisp", "go"])
@@ -162,6 +145,10 @@ class TestRunnerCLI:
         args = build_parser().parse_args(["table1", "--scale", "0.1"])
         assert args.exhibit == "table1"
         assert args.scale == 0.1
+
+    def test_parser_rejects_codecs_exhibit(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["codecs"])
 
     def test_main_runs_table1(self, capsys, tmp_path):
         out_file = tmp_path / "out.txt"

@@ -54,6 +54,9 @@ class TestHealthyPath:
         runtime = ResilientRuntime(open_container(container)).prepare()
         assert not runtime.degraded
 
+    def test_translates_by_block_copy(self, container):
+        assert isinstance(ResilientRuntime(container).translator, Translator)
+
 
 class TestAllocationFaultQuarantine:
     def test_injected_failure_quarantines_only_that_function(self, container):

@@ -9,7 +9,7 @@ from repro.core import (
     open_container,
     read_patched_displacement,
 )
-from repro.core.copy_phase import copy_translate_planes
+from repro.core.copy_phase import CallRelocation, copy_translate_planes
 from repro.isa import assemble
 from repro.jit import Translator, build_tables
 from repro.kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN, ItemPlanes
@@ -32,6 +32,37 @@ func helper
     ret
 end
 """
+
+
+def _reference_lowering(function):
+    """Native bytes and call relocations of ``function`` lowered one
+    instruction at a time (``lower_function``), branch holes patched
+    with the same displacement rule as the copy phase: the oracle the
+    block-copy translator must agree with."""
+    lowered = lower_function(function, optimize=False)
+    code = bytearray()
+    offsets = []
+    relocations = []
+    holes = []
+    for insn, chunk in zip(function.insns, lowered.chunks):
+        start = len(code)
+        offsets.append(start)
+        code += chunk.data
+        if chunk.hole_size == 0:
+            continue
+        hole_at = start + chunk.hole_offset
+        if chunk.is_call:
+            relocations.append(CallRelocation(
+                hole_offset=hole_at, hole_size=chunk.hole_size,
+                callee=insn.target))
+        else:
+            holes.append((hole_at, chunk.hole_size, insn.target))
+    offsets.append(len(code))  # a branch may target the end
+    for hole_at, size, target in holes:
+        displacement = offsets[target] - (hole_at + size)
+        code[hole_at:hole_at + size] = (
+            displacement & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return bytes(code), relocations
 
 
 def _translator(text=EXAMPLE):
@@ -174,3 +205,19 @@ class TestTranslator:
         sizes = translator.native_function_sizes()
         assert len(sizes) == 2
         assert all(s > 0 for s in sizes)
+
+
+class TestReferenceLowering:
+    def test_block_copy_matches_reference_lowering(self):
+        """Same native bytes and call relocations out of the block-copy
+        translator as out of the per-instruction reference lowering."""
+        from repro.workloads import benchmark_program
+
+        reader = open_container(
+            compress(benchmark_program("compress", scale=0.1)).data)
+        translator = Translator(reader)
+        for findex in range(reader.function_count):
+            result = translator.translate_function(findex)
+            code, relocations = _reference_lowering(reader.function(findex))
+            assert bytes(result.translated.code) == code, findex
+            assert result.translated.call_relocations == relocations, findex

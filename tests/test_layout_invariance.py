@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs import codec_ids, compress_with, get_codec, open_any
 from repro.core import compress as ssd_compress
 from repro.core import container as container_mod
-from repro.core import decompress
+from repro.core import decompress, open_container
 from repro.core.hints import ProfileHints, encode_hints
 from repro.errors import CorruptContainer
 from repro.faults.harness import sweep
@@ -27,8 +26,6 @@ from repro.isa.encoding import encode_function
 from repro.profile import AccessProfile, LayoutPlan, build_plan
 
 from .strategies import programs
-
-CONCRETE = [cid for cid in codec_ids() if get_codec(cid).wire_id]
 
 
 @st.composite
@@ -64,21 +61,17 @@ def test_reordered_decode_byte_identical(program_and_plan):
 
 @settings(max_examples=25, deadline=None)
 @given(programs(min_functions=2, max_functions=5))
-def test_all_codecs_decode_unchanged_by_planning(program):
-    """Planning is an SSD container concern; every registered codec's
-    decode of the same program stays equal to the source — and SSD's
-    profiled decode matches all of them."""
+def test_planned_reader_decode_matches_source(program):
+    """A trace-built plan moves bodies, yet the reader's per-function
+    decode of the planned container still returns the source program."""
     count = len(program.functions)
     plan = build_plan(
         AccessProfile.from_trace([i % count for i in range(3 * count)]),
         count)
-    for codec_id in CONCRETE:
-        options = {"layout_plan": plan} if codec_id == "ssd" else {}
-        data = compress_with(codec_id, program, **options).data
-        reader = open_any(data)
-        decoded = [reader.function(f) for f in range(reader.function_count)]
-        assert [fn.insns for fn in decoded] == \
-            [fn.insns for fn in program.functions], codec_id
+    reader = open_container(ssd_compress(program, layout_plan=plan).data)
+    decoded = [reader.function(f) for f in range(reader.function_count)]
+    assert [fn.insns for fn in decoded] == \
+        [fn.insns for fn in program.functions]
 
 
 @pytest.fixture(scope="module")

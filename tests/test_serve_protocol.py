@@ -112,22 +112,32 @@ class TestBodies:
         assert protocol.parse_ok_put(body) == (CID, 9, 2)
 
     def test_ok_meta_roundtrip(self):
-        body = protocol.build_ok_meta("prog", 1, ["main", "helper"], "brisc",
-                                      codec_wire_id=2, container_version=3)
+        body = protocol.build_ok_meta("prog", 1, ["main", "helper"],
+                                      container_version=1)
         assert protocol.parse_ok_meta(body) == \
-            ("prog", 1, ["main", "helper"], "brisc", 2, 3)
+            ("prog", 1, ["main", "helper"], 1)
 
     def test_ok_meta_default_codec_is_ssd(self):
+        # The layout keeps its codec id + codec wire id: always "ssd"/1.
         body = protocol.build_ok_meta("prog", 1, ["main"])
-        assert protocol.parse_ok_meta(body)[3] == "ssd"
+        assert body.endswith(b"\x03ssd\x01\x02")
 
     def test_ok_meta_carries_wire_id_and_version(self):
-        parsed = protocol.parse_ok_meta(protocol.build_ok_meta("p", 0, []))
-        assert parsed[4] == 1 and parsed[5] == 2
+        body = protocol.build_ok_meta("p", 0, [], container_version=1)
+        assert body[-2:] == bytes([protocol.META_CODEC_WIRE_ID, 1])
+        assert protocol.parse_ok_meta(body)[3] == 1
+
+    def test_ok_meta_codec_fields_are_read_and_discarded(self):
+        # A body naming another codec still parses: the fields are skipped.
+        body = protocol.build_ok_meta("p", 0, ["main"])
+        foreign = body[:-6] + b"\x05brisc\x02\x02"
+        assert protocol.parse_ok_meta(foreign) == ("p", 0, ["main"], 2)
+        with pytest.raises(TruncatedStream):
+            protocol.parse_ok_meta(body[:-3])
 
     def test_ok_meta_no_functions(self):
         assert protocol.parse_ok_meta(protocol.build_ok_meta("p", 0, [])) == \
-            ("p", 0, [], "ssd", 1, 2)
+            ("p", 0, [], 2)
 
     def test_error_roundtrip(self):
         body = protocol.build_error(protocol.E_NOT_FOUND, "no such container")

@@ -115,6 +115,9 @@ class TestErrors:
         with pytest.raises(RemoteError) as info:
             client.meta("ee" * 32)
         assert info.value.code_name == "E_NOT_FOUND"
+        with pytest.raises(RemoteError) as info:
+            client.function("ee" * 32, 0)
+        assert info.value.code_name == "E_NOT_FOUND"
 
     def test_bad_function_index_is_not_found(self, client, container):
         container_id, _, _ = client.put(container)
@@ -195,30 +198,6 @@ class TestRemoteExecution:
             names = [fn.name for fn in remote.functions]
             assert names == [fn.name for fn in program.functions]
             assert remote.decompressed_fraction == 1.0
-
-
-class TestCodecDimension:
-    """v3 (non-SSD) containers serve through the same wire surface."""
-
-    @pytest.mark.parametrize("codec_id", ["brisc", "lz77-raw"])
-    def test_v3_container_serves_end_to_end(self, server, program, codec_id):
-        from repro.codecs import compress_with
-
-        data = compress_with(codec_id, program).data
-        local = run_program(program)
-        with ServeClient(*server.address) as client:
-            remote = RemoteProgram(client, data)
-            assert client.meta(remote.container_id).codec_id == codec_id
-            result = run_program(remote)
-            assert result.output == local.output
-            # The server decoded under the right codec: the decode
-            # counters show it served this container's functions.
-            stats = client.stats()
-            assert stats["decoded"][remote.container_id]["functions"] >= 2
-
-    def test_meta_codec_id_defaults_to_ssd(self, client, container):
-        container_id, _, _ = client.put(container)
-        assert client.meta(container_id).codec_id == "ssd"
 
 
 class TestConcurrentLoad:

@@ -162,11 +162,6 @@ class TestCommands:
     def test_fuzz_rejects_bad_cases(self, ssd_file, capsys):
         assert main(["fuzz", str(ssd_file), "--cases", "0"]) == 2
 
-    def test_fuzz_non_ssd_codec(self, asm_file, capsys):
-        assert main(["fuzz", str(asm_file), "--cases", "20",
-                     "--codec", "brisc"]) == 0
-        assert "result: OK" in capsys.readouterr().out
-
 
 class TestErrorReporting:
     """Errors reach the user as one ``error:`` line, never a traceback."""
@@ -179,7 +174,7 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("argv", [
         ["decompress"], ["inspect"], ["inspect", "--json"], ["run"],
-        ["run", "--lazy"],
+        ["run", "--lazy"], ["verify"],
     ], ids=" ".join)
     def test_corrupt_container_exits_1(self, garbage, argv, capsys):
         assert main(argv + [str(garbage)]) == 1
@@ -203,79 +198,12 @@ class TestErrorReporting:
         assert capsys.readouterr().err.startswith("error: exceeded 2 steps")
 
 
-class TestCodecsCommand:
-    def test_codecs_lists_registry(self, capsys):
-        assert main(["codecs"]) == 0
-        out = capsys.readouterr().out
-        for codec_id in ("ssd", "brisc", "lz77-raw", "auto"):
-            assert codec_id in out
-
-    def test_codecs_json(self, capsys):
-        import json
-
-        assert main(["codecs", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        ids = [row["id"] for row in payload["codecs"]]
-        assert {"ssd", "brisc", "lz77-raw", "auto"} <= set(ids)
-        for row in payload["codecs"]:
-            assert row["description"]
-
-    @pytest.mark.parametrize("codec", ["brisc", "lz77-raw", "auto"])
-    def test_compress_with_codec_round_trips(self, asm_file, tmp_path,
-                                             capsys, codec):
-        ssd = tmp_path / f"{codec}.ssd"
-        assert main(["compress", str(asm_file), "-o", str(ssd),
-                     "--codec", codec]) == 0
-        assert ssd.read_bytes()[:3] == b"SSD"
-        assert main(["verify", str(ssd), str(asm_file)]) == 0
-        assert main(["run", str(ssd), "--lazy"]) == 0
-        assert "12" in capsys.readouterr().out
-
-    def test_inspect_non_ssd_container(self, asm_file, tmp_path, capsys):
-        import json
-
-        ssd = tmp_path / "brisc.ssd"
-        assert main(["compress", str(asm_file), "-o", str(ssd),
-                     "--codec", "brisc"]) == 0
-        assert main(["inspect", str(ssd), "--json", "--function", "1"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        payload = json.loads(lines[-1])
-        assert payload["codec"] == "brisc"
-        assert payload["format_version"] == 3
-        assert payload["function_names"] == ["main", "double"]
-        assert payload["function"]["name"] == "double"
-
-    def test_verify_integrity_non_ssd_container(self, asm_file, tmp_path,
-                                                capsys):
-        ssd = tmp_path / "lz.ssd"
-        assert main(["compress", str(asm_file), "-o", str(ssd),
-                     "--codec", "lz77-raw"]) == 0
-        capsys.readouterr()
-        assert main(["verify", str(ssd)]) == 0
-        assert "format v3" in capsys.readouterr().out
-
-    def test_compress_unknown_codec_exits_2(self, asm_file, tmp_path, capsys):
-        out = tmp_path / "x.ssd"
-        assert main(["compress", str(asm_file), "-o", str(out),
-                     "--codec", "nope"]) == 2
-        assert "unknown codec" in capsys.readouterr().err
-
+class TestCompressOptions:
     def test_compress_max_len_zero_exits_2(self, asm_file, tmp_path, capsys):
         out = tmp_path / "x.ssd"
         assert main(["compress", str(asm_file), "-o", str(out),
                      "--max-len", "0"]) == 2
         assert "error: --max-len must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", [["--base-codec", "delta"],
-                                      ["--max-len", "3"]])
-    def test_ssd_only_flags_rejected_for_other_codecs(self, asm_file,
-                                                      tmp_path, capsys, flag):
-        out = tmp_path / "x.ssd"
-        assert main(["compress", str(asm_file), "-o", str(out),
-                     "--codec", "brisc", *flag]) == 2
-        err = capsys.readouterr().err
-        assert f"{flag[0]} only apply to --codec ssd" in err
         assert not out.exists()
 
     def test_ssd_flag_defaults_match_explicit_values(self, asm_file, tmp_path):
@@ -290,6 +218,19 @@ class TestCodecsCommand:
         with pytest.raises(SystemExit):
             main(["compress", str(asm_file), "-o", str(tmp_path / "x.ssd"),
                   "--jobs", "2"])
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "{asm}", "-o", "{out}", "--codec", "ssd"],
+        ["fuzz", "{asm}", "--codec", "ssd"],
+        ["codecs"],
+    ], ids=lambda argv: argv[0])
+    def test_codec_surface_is_gone(self, asm_file, tmp_path, argv):
+        argv = [arg.format(asm=asm_file, out=tmp_path / "x.ssd")
+                for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert not (tmp_path / "x.ssd").exists()
 
 
 class TestJsonOutput:
@@ -309,6 +250,7 @@ class TestJsonOutput:
         assert payload["segments"] and "base_entries" in payload["segments"][0]
         assert isinstance(payload["sections"], dict)
         assert "function" not in payload
+        assert "codec" not in payload and "codec_wire_id" not in payload
 
     def test_inspect_json_with_function(self, ssd_file, capsys):
         import json
@@ -508,6 +450,58 @@ class TestServePortFile:
             proc.terminate()
             proc.wait(timeout=10)
 
+    def test_sigterm_drains_while_reporting_metrics(self, tmp_path):
+        import json
+        import os
+        import queue
+        import signal
+        import subprocess
+        import sys
+        import threading
+        import time
+
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools", "serve", "--port", "0",
+             "--port-file", str(tmp_path / "ssd.port"),
+             "--metrics-interval", "0.1"],
+            env={**os.environ, "PYTHONPATH": src_dir},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        lines: "queue.Queue[str]" = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stderr],
+            daemon=True)
+        reader.start()
+        seen = []
+        try:
+            snapshots = 0
+            deadline = time.monotonic() + 30.0
+            while snapshots < 2:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, f"fewer than 2 snapshots: {seen}"
+                line = lines.get(timeout=remaining)
+                seen.append(line)
+                if line.startswith("{"):
+                    assert "requests_total" in json.loads(line)
+                    snapshots += 1
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=15) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        proc.stderr.close()
+        while not lines.empty():
+            seen.append(lines.get())
+        text = "".join(seen)
+        assert "ssd serve: drained=True" in text
+        assert "Traceback" not in text
+        assert "Task was destroyed" not in text
+
 
 class TestDeltaCommand:
     @pytest.fixture()
@@ -562,30 +556,3 @@ class TestDeltaCommand:
         captured = capsys.readouterr()
         assert "verified" in captured.err
         assert len(captured.out.strip()) == 64
-
-
-class TestInspectWireId:
-    def test_inspect_json_surfaces_codec_wire_id(self, ssd_file, capsys):
-        import json
-
-        from repro.codecs import get_codec
-
-        assert main(["inspect", str(ssd_file), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["codec"] == "ssd"
-        assert payload["codec_wire_id"] == get_codec("ssd").wire_id
-
-    def test_inspect_json_wire_id_for_other_codecs(self, asm_file, tmp_path,
-                                                   capsys):
-        import json
-
-        from repro.codecs import get_codec
-
-        path = tmp_path / "program.lz"
-        assert main(["compress", str(asm_file), "-o", str(path),
-                     "--codec", "lz77-raw"]) == 0
-        capsys.readouterr()
-        assert main(["inspect", str(path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["codec"] == "lz77-raw"
-        assert payload["codec_wire_id"] == get_codec("lz77-raw").wire_id
