@@ -59,6 +59,11 @@ def _legacy_count_ngrams(id_lists, max_len):
     return counts
 
 
+def _legacy_hash4(data, pos):
+    return (data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16)
+            | (data[pos + 3] << 24)) * 2654435761 & 0xFFFFFFFF
+
+
 def _legacy_lz_compress(data):
     """Seed LZ77 matcher: per-position candidate list copies, byte loops."""
     from repro.lz.varint import ByteWriter
@@ -77,7 +82,7 @@ def _legacy_lz_compress(data):
             writer.write_bytes(data[literal_start:end])
 
     while pos + 4 <= n:
-        key = lz77._hash4(data, pos)
+        key = _legacy_hash4(data, pos)
         candidates = table.get(key)
         best_len = 0
         best_dist = 0
@@ -100,7 +105,7 @@ def _legacy_lz_compress(data):
             end = pos + best_len
             step = 1 if best_len <= 32 else 4
             while pos < end and pos + 4 <= n:
-                table.setdefault(lz77._hash4(data, pos), []).append(pos)
+                table.setdefault(_legacy_hash4(data, pos), []).append(pos)
                 pos += step
             pos = end
             literal_start = pos
@@ -139,15 +144,11 @@ def ngram_input(context):
     from repro.core.dictionary import build_dictionary
     program = context.program(LARGEST)
     result = build_dictionary(program)
-    key_bits = max(1, (len(result.base_entries) - 1).bit_length())
-    # Recover per-function id lists the same way pass 0 does.
-    interned = {entry.key: index
-                for index, entry in enumerate(result.base_entries)}
-    id_lists = []
-    for fn in program.functions:
-        keys, _ = fn.keys_and_sizes()
-        id_lists.append([interned[key] for key in keys])
-    return id_lists, key_bits
+    # Recover per-function id lists from the reference columns.
+    id_lists = [[base_id for key in keys for base_id in result.window(key)]
+                for keys in result.function_keys]
+    assert [len(ids) for ids in id_lists] == [len(fn) for fn in program.functions]
+    return id_lists, result.key_bits
 
 
 def test_ngram_kernel_packed(benchmark, ngram_input):

@@ -34,7 +34,6 @@ from .hints import ProfileHints, decode_hints, encode_hints
 from .dictionary import (
     MAX_SEQUENCE_LENGTH,
     BaseEntry,
-    EntryRef,
     SSDDictionary,
     build_dictionary,
     dictionary_statistics,
@@ -73,7 +72,6 @@ __all__ = [
     "EntryInfo",
     "IntegrityReport",
     "SectionSpan",
-    "EntryRef",
     "ItemStreamError",
     "LazyProgram",
     "MAX_SEQUENCE_LENGTH",

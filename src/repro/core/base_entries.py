@@ -16,7 +16,9 @@ sides agree on every 16-bit index without transmitting them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import CorruptContainer
 from ..isa import Instruction, info
@@ -25,7 +27,7 @@ from ..isa.opcodes import NUM_REGISTERS, OP_BY_CODE
 from ..lz import delta as delta_codec
 from ..lz import lz77
 from ..lz.varint import ByteReader, ByteWriter
-from .dictionary import BaseEntry
+from .dictionary import BaseEntry, Row
 
 #: codecs accepted by encode/decode: "lz" and "delta" are the paper's two
 #: variants; "delta+lz" is this reproduction's extension combining them
@@ -33,59 +35,53 @@ from .dictionary import BaseEntry
 CODECS = ("lz", "delta", "delta+lz")
 
 
-def _sort_key(entry: BaseEntry) -> Tuple:
-    """Within-group order: largest field first (imm, then the rest)."""
+def base_row(entry: BaseEntry) -> Row:
+    """The row of a base entry: its fields as the compressor interns them
+    (see :data:`repro.core.dictionary.Row`)."""
     insn = entry.instruction
-    return (
-        insn.imm if insn.imm is not None else 0,
-        entry.target_size or 0,
-        insn.rd if insn.rd is not None else -1,
-        insn.rs1 if insn.rs1 is not None else -1,
-        insn.rs2 if insn.rs2 is not None else -1,
-        entry.stored_target if entry.stored_target is not None else 0,
-    )
+    row = (info(insn.op).code, insn.imm, entry.target_size, insn.rd,
+           insn.rs1, insn.rs2)
+    return row if entry.stored_target is None else row + (entry.stored_target,)
 
 
 def order_base_entries(entries: List[BaseEntry]) -> List[BaseEntry]:
-    """Canonical (group, sorted-field) order — the index-space order."""
-    return sorted(entries, key=lambda e: (info(e.instruction.op).code, _sort_key(e)))
+    """Canonical order — the index-space order: by group (opcode), then
+    largest field first (imm, target size, registers, stored target).
+
+    Rows sort in exactly this order: within one opcode the same fields
+    are ``None``, so comparisons only ever meet two ints or two ``None``s.
+    """
+    return sorted(entries, key=base_row)
 
 
-def _encode_groups(ordered: List[BaseEntry], use_delta: bool) -> bytes:
+def _encode_groups(rows: Sequence[Row], use_delta: bool) -> bytes:
     writer = ByteWriter()
-    groups: List[List[BaseEntry]] = []
-    for entry in ordered:
-        if groups and groups[-1][0].instruction.op is entry.instruction.op:
-            groups[-1].append(entry)
-        else:
-            groups.append([entry])
+    groups = [list(group) for _, group in groupby(rows, key=itemgetter(0))]
     writer.write_uvarint(len(groups))
     for group in groups:
-        meta = info(group[0].instruction.op)
+        meta = OP_BY_CODE[group[0][0]]
         writer.write_u8(meta.code)
         writer.write_uvarint(len(group))
         if meta.uses_imm:
-            imms = [e.instruction.imm for e in group]
+            imms = [row[1] for row in group]
             if use_delta:
                 blob = delta_codec.encode_deltas(imms)
                 writer.write_uvarint(len(blob))
                 writer.write_bytes(blob)
             else:
-                for imm in imms:
-                    writer.write_svarint(imm)
+                writer.write_svarint_run(imms)
         if meta.uses_target:
-            for entry in group:
-                writer.write_u8(entry.target_size or 0)
+            writer.write_bytes(bytes([row[2] or 0 for row in group]))
             # Absolute-targets ablation: targets live in the entry.
-            has_targets = any(e.stored_target is not None for e in group)
+            has_targets = any(len(row) > 6 for row in group)
             writer.write_u8(1 if has_targets else 0)
             if has_targets:
-                for entry in group:
-                    writer.write_svarint(entry.stored_target or 0)
-        for field in ("rd", "rs1", "rs2"):
-            if getattr(meta, f"uses_{field}"):
-                for entry in group:
-                    writer.write_u8(getattr(entry.instruction, field))
+                writer.write_svarint_run(row[6] if len(row) > 6 else 0
+                                         for row in group)
+        for column, used in ((3, meta.uses_rd), (4, meta.uses_rs1),
+                             (5, meta.uses_rs2)):
+            if used:
+                writer.write_bytes(bytes([row[column] for row in group]))
     return writer.getvalue()
 
 
@@ -187,22 +183,23 @@ def _decode_groups(data: bytes, use_delta: bool) -> List[BaseEntry]:
     return entries
 
 
-def encode_base_entries(ordered: List[BaseEntry], codec: str = "lz") -> bytes:
-    """Compress canonically ordered base entries.
+def encode_base_entries(rows: Sequence[Row], codec: str = "lz") -> bytes:
+    """Compress the rows of canonically ordered base entries.
 
-    ``ordered`` must come from :func:`order_base_entries`; the blob layout
-    is ``u8 codec | payload``.
+    ``rows`` must be in canonical order: sorted rows, or the
+    :func:`base_row` of each of :func:`order_base_entries`' output.  The
+    blob layout is ``u8 codec | payload``.
     """
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
     writer = ByteWriter()
     writer.write_u8(CODECS.index(codec))
     if codec == "lz":
-        writer.write_bytes(lz77.compress(_encode_groups(ordered, use_delta=False)))
+        writer.write_bytes(lz77.compress(_encode_groups(rows, use_delta=False)))
     elif codec == "delta":
-        writer.write_bytes(_encode_groups(ordered, use_delta=True))
+        writer.write_bytes(_encode_groups(rows, use_delta=True))
     else:  # delta+lz
-        writer.write_bytes(lz77.compress(_encode_groups(ordered, use_delta=True)))
+        writer.write_bytes(lz77.compress(_encode_groups(rows, use_delta=True)))
     return writer.getvalue()
 
 

@@ -61,10 +61,12 @@ def _encode_item_streams(dictionary: SSDDictionary, plan,
                          layouts) -> List[bytes]:
     """Per-function item encoding (Algorithm 2)."""
     streams: List[bytes] = []
-    segment_of_function = plan.segment_of_function
-    for findex, refs in enumerate(dictionary.function_refs):
-        layout = layouts[segment_of_function[findex]]
-        streams.append(encode_items(refs, layout.index_of, layout.info_of))
+    for keys, targets, segment in zip(dictionary.function_keys,
+                                      dictionary.function_targets,
+                                      plan.segment_of_function):
+        layout = layouts[segment]
+        streams.append(encode_items(keys, targets, layout.index_of,
+                                    layout.info_of))
     return streams
 
 

@@ -20,14 +20,14 @@ ones) in one materialized pass over the per-function reference stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence
 
 from .. import kernels as _kernels
 from ..errors import CorruptContainer
 from ..kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN, ItemPlanes
 from ..kernels import items as _kernel_items
-from ..lz.varint import ByteReader, ByteWriter
-from .dictionary import EntryRef
+from ..lz.varint import ByteReader
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,13 @@ class ItemStreamError(CorruptContainer):
 _ITEM_KERNEL_MIN_BYTES = 224
 
 
-def _write_signed(writer: ByteWriter, value: int, size: int) -> None:
+def _write_signed(out: bytearray, value: int, size: int) -> None:
     lo = -(1 << (8 * size - 1))
     hi = (1 << (8 * size - 1)) - 1
     if not lo <= value <= hi:
         raise ItemStreamError(f"displacement {value} does not fit in {size} bytes")
     unsigned = value & ((1 << (8 * size)) - 1)
-    writer.write_bytes(unsigned.to_bytes(size, "little"))
+    out += unsigned.to_bytes(size, "little")
 
 
 def _read_signed(reader: ByteReader, size: int) -> int:
@@ -64,47 +64,52 @@ def _read_signed(reader: ByteReader, size: int) -> int:
     return value - (1 << (8 * size)) if value & sign else value
 
 
-def _write_unsigned(writer: ByteWriter, value: int, size: int) -> None:
+def _write_unsigned(out: bytearray, value: int, size: int) -> None:
     if not 0 <= value < (1 << (8 * size)):
         raise ItemStreamError(f"call target {value} does not fit in {size} bytes")
-    writer.write_bytes(value.to_bytes(size, "little"))
+    out += value.to_bytes(size, "little")
 
 
-def encode_items(refs: Sequence[EntryRef],
-                 index_of: Dict[Tuple[int, ...], int],
+def encode_items(keys: Sequence[int], targets: Sequence[Optional[int]],
+                 index_of: Dict[int, int],
                  info_of: Dict[int, EntryInfo]) -> bytes:
-    """Encode one function's reference stream as SSD items.
+    """Encode one function's reference columns as SSD items.
 
-    ``index_of`` maps a ref's ``base_ids`` tuple to its 16-bit dictionary
-    index; ``info_of`` maps dictionary indices to :class:`EntryInfo`.
+    ``keys[r]`` is reference ``r``'s packed key and ``targets[r]`` its
+    branch target (instruction index) or callee index, if any (see
+    :class:`~repro.core.dictionary.SSDDictionary`).  ``index_of`` maps a
+    packed key to its 16-bit dictionary index; ``info_of`` maps
+    dictionary indices to :class:`EntryInfo`.
     """
+    try:
+        indices = [index_of[key] for key in keys]
+    except KeyError as exc:
+        raise ItemStreamError(f"no dictionary index for entry {exc.args[0]}") from None
+    infos = [info_of[index] for index in indices]
     # Instruction index -> item index (the forwarding table, materialized).
-    item_of_insn: Dict[int, int] = {}
-    position = 0
-    for item_index, ref in enumerate(refs):
-        item_of_insn[position] = item_index
-        position += ref.length
+    item_of_insn = dict(zip(accumulate([info.length for info in infos],
+                                       initial=0), range(len(infos))))
 
-    writer = ByteWriter()
-    for item_index, ref in enumerate(refs):
-        dict_index = index_of.get(tuple(ref.base_ids))
-        if dict_index is None:
-            raise ItemStreamError(f"no dictionary index for entry {ref.base_ids}")
-        entry = info_of[dict_index]
-        writer.write_u16(dict_index)
+    out = bytearray()
+    append = out.append
+    for item_index, (index, entry, target) in enumerate(
+            zip(indices, infos, targets)):
+        append(index & 0xFF)
+        append(index >> 8)
         if entry.is_branch:
-            if ref.branch_target is None:
+            if target is None:
                 raise ItemStreamError("branch entry without a branch target")
-            target_item = item_of_insn.get(ref.branch_target)
+            target_item = item_of_insn.get(target)
             if target_item is None:
                 raise ItemStreamError(
-                    f"branch target {ref.branch_target} is not item-aligned")
-            _write_signed(writer, target_item - (item_index + 1), entry.target_size)
+                    f"branch target {target} is not item-aligned")
+            _write_signed(out, target_item - (item_index + 1),
+                          entry.target_size)
         elif entry.is_call:
-            if ref.call_target is None:
+            if target is None:
                 raise ItemStreamError("call entry without a call target")
-            _write_unsigned(writer, ref.call_target, entry.target_size)
-    return writer.getvalue()
+            _write_unsigned(out, target, entry.target_size)
+    return bytes(out)
 
 
 def _decode_planes_scalar(blob: bytes,

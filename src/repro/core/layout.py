@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import CorruptContainer, LimitExceeded
 from ..isa import Instruction
 from ..isa import info as _op_info
-from .base_entries import decode_base_entries, encode_base_entries, order_base_entries
+from .base_entries import decode_base_entries, encode_base_entries
 from .container import DEFAULT_LIMITS, DecodeLimits, SegmentSections
 from .dictionary import BaseEntry, SSDDictionary
 from .items import EntryInfo
@@ -55,8 +55,9 @@ class SegmentLayout:
     * ``info_of`` — 16-bit dictionary index -> :class:`EntryInfo`;
     * ``paths_of`` — 16-bit dictionary index -> tuple of addressing ids
       (length 1 for base entries);
-    * ``index_of`` — compressor side only: a reference's provisional
-      base-id tuple -> 16-bit dictionary index;
+    * ``index_of`` — compressor side only: a reference's packed key
+      (see :class:`~repro.core.dictionary.SSDDictionary`) -> 16-bit
+      dictionary index;
     * ``table`` — decompressor side only: the decode table,
       ``table[index]`` being the :data:`Expansion` of dictionary index
       ``index``;
@@ -69,7 +70,7 @@ class SegmentLayout:
     common: Tuple[int, int] = (0, 0)
     info_of: Dict[int, EntryInfo] = field(default_factory=dict)
     paths_of: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    index_of: Dict[Tuple[int, ...], int] = field(default_factory=dict)
+    index_of: Dict[int, int] = field(default_factory=dict)
     table: Tuple[Expansion, ...] = field(default=(), compare=False, repr=False)
     #: lazily built numpy :class:`~repro.kernels.items.ItemDecodeTable`
     #: (decode-side cache; excluded from equality so rebuilt layouts still
@@ -183,66 +184,63 @@ def _segment_layout(bases: List[BaseEntry], cb: int, common: _Region,
 def build_layouts(dictionary: SSDDictionary, plan: PartitionPlan,
                   codec: str = "lz") -> Tuple[List[SegmentLayout], bytes, bytes,
                                               List[SegmentSections]]:
-    """Compressor side: layouts plus the serialized dictionary blobs."""
+    """Compressor side: layouts plus the serialized dictionary blobs.
+
+    Bases are ordered by their rows (the canonical order) and mapped to
+    addressing ids by provisional id; ``index_of`` is keyed by the
+    dictionary's packed reference keys."""
+    rows = dictionary.base_rows
+    entries = dictionary.base_entries
+    sequence_keys = dictionary.sequence_keys
+
     # -- common dictionary -------------------------------------------------
-    common_entries = [dictionary.base_entries[p] for p in plan.common_base_ids]
-    ordered_common = order_base_entries(common_entries)
-    addr_of_provisional: Dict[int, int] = {}
-    base_by_key = {entry.key: provisional
-                   for provisional, entry in enumerate(dictionary.base_entries)}
-    for addr, entry in enumerate(ordered_common):
-        addr_of_provisional[base_by_key[entry.key]] = addr
-    cb = len(ordered_common)
-
-    def map_path(sequence: Tuple[int, ...], local_map: Dict[int, int]) -> Tuple[int, ...]:
-        return tuple(
-            addr_of_provisional[p] if p in addr_of_provisional else local_map[p]
-            for p in sequence)
-
-    common_mapped = [tuple(addr_of_provisional[p] for p in sequence)
+    common_ids = sorted(plan.common_base_ids, key=rows.__getitem__)
+    cb = len(common_ids)
+    common_addr = dict(zip(common_ids, range(cb)))
+    ordered_common = [entries[p] for p in common_ids]
+    common_mapped = [tuple(map(common_addr.__getitem__, sequence))
                      for sequence in plan.common_sequences]
     common_ranks = assign_sequence_indices(common_mapped)
-    common_base_blob = encode_base_entries(ordered_common, codec=codec) if ordered_common else b""
+    common_base_blob = encode_base_entries(
+        [rows[p] for p in common_ids], codec=codec) if common_ids else b""
     common_tree_blob = encode_sequence_tree(common_mapped, base_space=max(cb, 1)) \
         if common_mapped else b""
-    common_seq_index = {path: cb + rank for path, rank in common_ranks.items()}
     cs = len(common_ranks)
     common_columns = _base_columns(ordered_common, table=False)
     common_region = _region(common_columns, 0, cb, common_ranks)
+    # Compressor-side reference map (packed key -> final index).
+    common_index = dict(common_addr)
+    for sequence, mapped in zip(plan.common_sequences, common_mapped):
+        common_index[sequence_keys[sequence]] = cb + common_ranks[mapped]
 
     layouts: List[SegmentLayout] = []
     segment_sections: List[SegmentSections] = []
     for segment in plan.segments:
-        local_ids = sorted(segment.local_base_ids)
-        ordered_local = order_base_entries(
-            [dictionary.base_entries[p] for p in local_ids])
-        local_map: Dict[int, int] = {}
-        for position, entry in enumerate(ordered_local):
-            local_map[base_by_key[entry.key]] = cb + position
-        lb = len(ordered_local)
-
-        local_mapped = sorted(map_path(s, local_map) for s in segment.local_sequences)
+        local_ids = sorted(segment.local_base_ids, key=rows.__getitem__)
+        lb = len(local_ids)
+        addr = dict(common_addr)
+        addr.update(zip(local_ids, range(cb, cb + lb)))
+        local_sequences = list(segment.local_sequences)
+        local_mapped = [tuple(map(addr.__getitem__, sequence))
+                        for sequence in local_sequences]
         local_ranks = assign_sequence_indices(local_mapped)
-        base_blob = encode_base_entries(ordered_local, codec=codec) if ordered_local else b""
+        base_blob = encode_base_entries(
+            [rows[p] for p in local_ids], codec=codec) if local_ids else b""
         tree_blob = encode_sequence_tree(local_mapped, base_space=cb + lb) \
             if local_mapped else b""
 
+        ordered_local = [entries[p] for p in local_ids]
         columns = tuple(map(_join, common_columns,
                             _base_columns(ordered_local, table=False)))
         layout = _segment_layout(ordered_common + ordered_local, cb,
                                  common_region,
                                  _region(columns, cb, lb, local_ranks))
-
-        # Compressor-side reference map (provisional ids -> final index).
-        for provisional in plan.common_base_ids:
-            layout.index_of[(provisional,)] = addr_of_provisional[provisional]
-        for provisional in local_ids:
-            layout.index_of[(provisional,)] = cs + local_map[provisional]
-        for sequence in segment.local_sequences:
-            mapped = map_path(sequence, local_map)
-            layout.index_of[tuple(sequence)] = cb + cs + lb + local_ranks[mapped]
-        for sequence, mapped in zip(plan.common_sequences, common_mapped):
-            layout.index_of[tuple(sequence)] = common_seq_index[mapped]
+        index_of = layout.index_of
+        index_of.update(common_index)
+        index_of.update(zip(local_ids, range(cb + cs, cb + cs + lb)))
+        first_node = cb + cs + lb
+        for sequence, mapped in zip(local_sequences, local_mapped):
+            index_of[sequence_keys[sequence]] = first_node + local_ranks[mapped]
 
         layouts.append(layout)
         segment_sections.append(SegmentSections(

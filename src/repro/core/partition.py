@@ -81,16 +81,15 @@ class PartitionPlan:
 
 
 def _function_requirements(dictionary: SSDDictionary,
+                           windows: Dict[int, Tuple[int, ...]],
                            findex: int) -> Tuple[Set[int], Set[Tuple[int, ...]]]:
-    """Base ids and sequences function ``findex`` needs addressable."""
-    bases: Set[int] = set()
-    sequences: Set[Tuple[int, ...]] = set()
-    for ref in dictionary.function_refs[findex]:
-        if ref.is_sequence:
-            sequences.add(tuple(ref.base_ids))
-            bases.update(ref.base_ids)
-        else:
-            bases.add(ref.base_ids[0])
+    """Base ids and sequences function ``findex`` needs addressable;
+    ``windows`` maps each sequence's packed key to its ids."""
+    keys = set(dictionary.function_keys[findex])
+    sequences = {windows[key] for key in keys if key in windows}
+    bases = keys.difference(windows)
+    for sequence in sequences:
+        bases.update(sequence)
     return bases, sequences
 
 
@@ -99,15 +98,15 @@ def plan_partition(dictionary: SSDDictionary,
     """Decide the common dictionary and the segment packing."""
     total_nodes = _tree_node_count(set(dictionary.sequence_entries))
     total_space = len(dictionary.base_entries) + total_nodes
-    function_count = len(dictionary.function_refs)
+    function_count = len(dictionary.function_keys)
 
     if total_space <= SEGMENT_CAPACITY:
-        # The common case: one segment, no common dictionary.
-        segment = Segment(function_indices=list(range(function_count)))
-        for findex in range(function_count):
-            bases, sequences = _function_requirements(dictionary, findex)
-            segment.local_base_ids |= bases
-            segment.local_sequences |= sequences
+        # The common case: one segment, no common dictionary.  Every base
+        # and every sequence is used by some function.
+        segment = Segment(
+            function_indices=list(range(function_count)),
+            local_base_ids=set(range(len(dictionary.base_entries))),
+            local_sequences=set(dictionary.sequence_entries))
         return PartitionPlan(common_base_ids=[], common_sequences=[],
                              segments=[segment],
                              segment_of_function=[0] * function_count)
@@ -157,8 +156,10 @@ def plan_partition(dictionary: SSDDictionary,
                     added.add(prefix)
         return added
 
+    windows = {key: window
+               for window, key in dictionary.sequence_keys.items()}
     for findex in range(function_count):
-        bases, sequences = _function_requirements(dictionary, findex)
+        bases, sequences = _function_requirements(dictionary, windows, findex)
         local_bases = bases - common_base_set
         local_sequences = sequences - common_seq_set
         added_bases = local_bases - current.local_base_ids

@@ -21,6 +21,7 @@ from collections import Counter
 from typing import Dict, Iterable, Tuple
 
 from ..core.base_entries import (
+    base_row,
     decode_base_entries,
     encode_base_entries,
     order_base_entries,
@@ -83,7 +84,8 @@ def train_shared_base(programs: Iterable[Program],
         program_name=name,
         entry=0,
         function_names=[],
-        common_base_blob=encode_base_entries(kept) if kept else b"",
+        common_base_blob=encode_base_entries(
+            [base_row(entry) for entry in kept]) if kept else b"",
         common_tree_blob=b"",
         segments=[],
         item_streams=[],

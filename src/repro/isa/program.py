@@ -51,19 +51,13 @@ class Function:
         return sizes
 
     def match_keys(self) -> List[Tuple]:
-        """Match key (paper section 2.1 rule) for every instruction."""
-        return self.keys_and_sizes()[0]
+        """Match key (paper section 2.1 rule) for every instruction.
 
-    def keys_and_sizes(self) -> Tuple[List[Tuple], List[Optional[int]]]:
-        """Match keys and target sizes in one pass (the compressor's pass 0).
-
-        ``target_sizes`` yields ``None`` exactly for instructions without a
-        target, so ``match_key(size)`` handles every case: branch/call keys
-        embed the size, all other keys ignore the ``None``.
+        ``target_sizes`` yields ``None`` exactly for instructions without
+        a target, so ``match_key(size)`` handles every case.
         """
-        sizes = self.target_sizes()
-        keys = [insn.match_key(size) for insn, size in zip(self.insns, sizes)]
-        return keys, sizes
+        return [insn.match_key(size)
+                for insn, size in zip(self.insns, self.target_sizes())]
 
     def validate_targets(self) -> None:
         """Raise ``ValueError`` on out-of-range intra-function targets."""

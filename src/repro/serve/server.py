@@ -475,8 +475,14 @@ class SSDServer(FrameService):
         data = protocol.parse_put(body)
         container_id, reader = await self._coalesced(
             ("put", container_id_of(data)), self.store.put, data)
-        self.cache.put(("reader", container_id), reader, size=len(data))
-        self._seed_hints(container_id, reader)
+        if reader is None:
+            # Bytes the store already holds: keep the cached reader (and
+            # its decoded functions) instead of opening them again.
+            reader = await self._coalesced(("reader", container_id),
+                                           self._reader_for, container_id)
+        else:
+            self.cache.put(("reader", container_id), reader, size=len(data))
+            self._seed_hints(container_id, reader)
         return protocol.OK_PUT, protocol.build_ok_put(
             container_id, reader.function_count, reader.entry)
 

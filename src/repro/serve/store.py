@@ -92,17 +92,19 @@ class ContainerStore:
         except CorruptContainer as exc:
             raise AdmissionError(f"decode failed: {exc}") from exc
 
-    def put(self, data: bytes, persist: bool = True) -> Tuple[str, SSDReader]:
+    def put(self, data: bytes,
+            persist: bool = True) -> Tuple[str, Optional[SSDReader]]:
         """Admit container bytes; returns ``(container_id, reader)``.
 
-        Idempotent: re-putting stored bytes re-verifies nothing and
-        returns a fresh reader for the stored copy.
+        ``reader`` is the one admission opened.  Idempotent: re-putting
+        stored bytes decodes nothing and returns ``None`` for the reader,
+        so a caller's cached reader for that id stays the one in use.
         """
         container_id = container_id_of(data)
         with self._lock:
             known = container_id in self._containers
         if known:
-            return container_id, open_container(data, limits=self.limits)
+            return container_id, None
         try:
             reader = self.verify(data)
         except AdmissionError:

@@ -16,6 +16,7 @@ from repro.core import (
     order_base_entries,
     sequence_index_map,
 )
+from repro.core.base_entries import base_row
 from repro.core.dictionary import BaseEntry
 from repro.core.items import decode_item_planes, resolve_plane_targets
 from repro.kernels import KIND_CALL
@@ -26,6 +27,10 @@ from .strategies import programs
 
 def _entries_from(text):
     return build_dictionary(assemble(text)).base_entries
+
+
+def _encode(entries, codec="lz"):
+    return encode_base_entries([base_row(e) for e in entries], codec=codec)
 
 
 SAMPLE = """
@@ -50,17 +55,17 @@ end
 class TestBaseEntryCodec:
     def test_roundtrip_preserves_entries(self):
         ordered = order_base_entries(_entries_from(SAMPLE))
-        decoded = decode_base_entries(encode_base_entries(ordered))
+        decoded = decode_base_entries(_encode(ordered))
         assert decoded == ordered
 
     def test_delta_codec_roundtrip(self):
         ordered = order_base_entries(_entries_from(SAMPLE))
-        decoded = decode_base_entries(encode_base_entries(ordered, codec="delta"))
+        decoded = decode_base_entries(_encode(ordered, codec="delta"))
         assert decoded == ordered
 
     def test_delta_lz_codec_roundtrip(self):
         ordered = order_base_entries(_entries_from(SAMPLE))
-        decoded = decode_base_entries(encode_base_entries(ordered, codec="delta+lz"))
+        decoded = decode_base_entries(_encode(ordered, codec="delta+lz"))
         assert decoded == ordered
 
     def test_order_groups_by_opcode(self):
@@ -92,13 +97,13 @@ class TestBaseEntryCodec:
             BaseEntry(key=("li", i), instruction=Instruction(op=Op.LI, rd=1, imm=1000 + i))
             for i in range(500)
         ])
-        blob = encode_base_entries(entries)
+        blob = _encode(entries)
         assert len(blob) < 500 * 3
 
     def test_displacement_roundtrip(self):
         entries = order_base_entries(
             build_dictionary(assemble(SAMPLE), absolute_targets=True).base_entries)
-        decoded = decode_base_entries(encode_base_entries(entries))
+        decoded = decode_base_entries(_encode(entries))
         assert decoded == entries
 
 
@@ -181,76 +186,55 @@ class TestItemCodec:
         }
         return info
 
-    def test_roundtrip_plain_items(self):
-        from repro.core.dictionary import EntryRef
+    # References are (packed key, target) columns; the item coder only
+    # looks keys up in ``index_of``, so any distinct ints serve as keys.
+    SEQUENCE = 111213
 
+    def test_roundtrip_plain_items(self):
         info = self._simple_setup()
-        refs = [EntryRef(base_ids=(10,)), EntryRef(base_ids=(11, 12, 13))]
-        index_of = {(10,): 0, (11, 12, 13): 2}
-        blob = encode_items(refs, index_of, info)
+        index_of = {10: 0, self.SEQUENCE: 2}
+        blob = encode_items([10, self.SEQUENCE], [None, None], index_of, info)
         planes = decode_item_planes(blob, info)
         assert planes.indices == [0, 2]
         assert planes.lengths == [1, 3]
 
     def test_branch_displacement_roundtrip(self):
-        from repro.core.dictionary import EntryRef
-
         info = self._simple_setup()
         # item 0: branch to instruction 4 (start of item 2); item 1: a
         # 3-insn sequence; item 2: plain.
-        refs = [
-            EntryRef(base_ids=(20,), branch_target=4),
-            EntryRef(base_ids=(11, 12, 13)),
-            EntryRef(base_ids=(10,)),
-        ]
-        index_of = {(20,): 1, (11, 12, 13): 2, (10,): 0}
-        blob = encode_items(refs, index_of, info)
+        index_of = {20: 1, self.SEQUENCE: 2, 10: 0}
+        blob = encode_items([20, self.SEQUENCE, 10], [4, None, None],
+                            index_of, info)
         planes = decode_item_planes(blob, info)
         targets = resolve_plane_targets(planes)
         assert targets == [4, None, None]
 
     def test_backward_branch(self):
-        from repro.core.dictionary import EntryRef
-
         info = self._simple_setup()
-        refs = [
-            EntryRef(base_ids=(10,)),
-            EntryRef(base_ids=(20,), branch_target=0),
-        ]
-        index_of = {(10,): 0, (20,): 1}
-        planes = decode_item_planes(encode_items(refs, index_of, info), info)
+        index_of = {10: 0, 20: 1}
+        planes = decode_item_planes(
+            encode_items([10, 20], [None, 0], index_of, info), info)
         assert resolve_plane_targets(planes) == [None, 0]
 
     def test_call_target_roundtrip(self):
-        from repro.core.dictionary import EntryRef
-
         info = self._simple_setup()
-        refs = [EntryRef(base_ids=(30,), call_target=7)]
-        index_of = {(30,): 3}
-        planes = decode_item_planes(encode_items(refs, index_of, info), info)
+        index_of = {30: 3}
+        planes = decode_item_planes(encode_items([30], [7], index_of, info),
+                                    info)
         assert planes.kinds == [KIND_CALL]
         assert planes.values == [7]
 
     def test_misaligned_branch_target_rejected(self):
-        from repro.core.dictionary import EntryRef
-
         info = self._simple_setup()
         # Branch into the middle of the 3-instruction sequence item.
-        refs = [
-            EntryRef(base_ids=(20,), branch_target=2),
-            EntryRef(base_ids=(11, 12, 13)),
-        ]
-        index_of = {(20,): 1, (11, 12, 13): 2}
+        index_of = {20: 1, self.SEQUENCE: 2}
         with pytest.raises(ItemStreamError, match="not item-aligned"):
-            encode_items(refs, index_of, info)
+            encode_items([20, self.SEQUENCE], [2, None], index_of, info)
 
     def test_unknown_entry_rejected(self):
-        from repro.core.dictionary import EntryRef
-
         info = self._simple_setup()
-        refs = [EntryRef(base_ids=(99,))]
         with pytest.raises(ItemStreamError, match="no dictionary index"):
-            encode_items(refs, {}, info)
+            encode_items([99], [None], {}, info)
 
     def test_unknown_index_on_decode_rejected(self):
         info = self._simple_setup()
@@ -271,7 +255,7 @@ class TestItemCodec:
 def test_property_base_entry_codec_roundtrip(program):
     ordered = order_base_entries(build_dictionary(program).base_entries)
     for codec in ("lz", "delta", "delta+lz"):
-        assert decode_base_entries(encode_base_entries(ordered, codec=codec)) == ordered
+        assert decode_base_entries(_encode(ordered, codec=codec)) == ordered
 
 
 @given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200),

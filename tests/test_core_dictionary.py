@@ -54,7 +54,7 @@ b:
     ret
 end
 """)
-        branch_entries = [e for e in d.base_entries if e.is_branch]
+        branch_entries = [e for e in d.base_entries if e.instruction.is_branch]
         assert len(branch_entries) == 1
         assert branch_entries[0].instruction.target == 0  # normalized
 
@@ -66,7 +66,7 @@ out:
     ret
 end
 """)
-        entry = next(e for e in d.base_entries if e.is_branch)
+        entry = next(e for e in d.base_entries if e.instruction.is_branch)
         assert entry.target_size == 1
 
     def test_far_branches_get_distinct_entry(self):
@@ -74,7 +74,7 @@ end
         lines += ["    nop"] * 40
         lines += ["far:", "    ret", "end"]
         d = _dict_for("\n".join(lines))
-        branch_entries = [e for e in d.base_entries if e.is_branch]
+        branch_entries = [e for e in d.base_entries if e.instruction.is_branch]
         assert len(branch_entries) == 2
         assert {e.target_size for e in branch_entries} == {1, 2}
 
@@ -148,7 +148,7 @@ end
             # reconstruct instructions via base entries
             for position, base_id in enumerate(sequence):
                 entry = d.base_entries[base_id]
-                if entry.is_branch or entry.is_call:
+                if entry.instruction.is_branch or entry.instruction.is_call:
                     assert position == len(sequence) - 1
 
     def test_cross_function_repetition_detected(self):
@@ -171,13 +171,17 @@ class TestRefs:
     def test_refs_cover_program_exactly(self):
         program = assemble(REPEATED)
         d = build_dictionary(program)
-        for fn, refs in zip(program.functions, d.function_refs):
-            assert sum(r.length for r in refs) == len(fn.insns)
+        for fn, keys, targets in zip(program.functions, d.function_keys,
+                                     d.function_targets):
+            assert len(targets) == len(keys)
+            assert sum(len(d.window(key)) for key in keys) == len(fn.insns)
 
     def test_greedy_prefers_longest(self):
         d = _dict_for(REPEATED)
-        refs = d.function_refs[0]
-        assert refs[0].length == 3  # the whole repeated triple
+        keys = d.function_keys[0]
+        assert len(d.window(keys[0])) == 3  # the whole repeated triple
+        assert d.window(keys[0]) in d.sequence_entries
+        assert d.sequence_keys[d.window(keys[0])] == keys[0]
 
     def test_branch_refs_carry_targets(self):
         d = _dict_for("""
@@ -188,10 +192,10 @@ loop:
     ret
 end
 """)
-        branch_refs = [r for refs in d.function_refs for r in refs
-                       if r.branch_target is not None]
-        assert branch_refs
-        assert branch_refs[0].branch_target == 0
+        branch_targets = [target for targets in d.function_targets
+                          for target in targets if target is not None]
+        assert branch_targets
+        assert branch_targets[0] == 0
 
     def test_call_refs_carry_callee(self):
         d = _dict_for("""
@@ -203,10 +207,10 @@ func helper
     ret
 end
 """)
-        call_refs = [r for refs in d.function_refs for r in refs
-                     if r.call_target is not None]
-        assert call_refs
-        assert call_refs[0].call_target == 1
+        call_targets = [target for targets in d.function_targets
+                        for target in targets if target is not None]
+        assert call_targets
+        assert call_targets[0] == 1
 
 
 class TestAbsoluteTargets:
@@ -223,11 +227,13 @@ end
 """
         relative = _dict_for(text)
         absolute = _dict_for(text, absolute_targets=True)
-        rel_branches = [e for e in relative.base_entries if e.is_branch]
-        abs_branches = [e for e in absolute.base_entries if e.is_branch]
+        rel_branches = [e for e in relative.base_entries
+                        if e.instruction.is_branch]
+        abs_branches = [e for e in absolute.base_entries
+                        if e.instruction.is_branch]
         assert len(rel_branches) == 1
         assert len(abs_branches) == 2
-        assert all(e.target_in_entry for e in abs_branches)
+        assert all(e.stored_target is not None for e in abs_branches)
 
     def test_absolute_mode_stores_target(self):
         d = _dict_for("""
@@ -237,7 +243,7 @@ out:
     ret
 end
 """, absolute_targets=True)
-        entry = next(e for e in d.base_entries if e.is_branch)
+        entry = next(e for e in d.base_entries if e.instruction.is_branch)
         assert entry.stored_target == 1  # absolute index of 'out' 
 
 

@@ -41,9 +41,10 @@ def _agree(program, common_budget=16384, monkey_capacity=None):
         assert enc.paths_of == dec.paths_of
         # Every compressor-side reference index must resolve to the same
         # entry content on the decode side.
-        for ref_ids, index in enc.index_of.items():
+        for ref_key, index in enc.index_of.items():
             path = dec.paths_of[index]
-            enc_keys = [dictionary.base_entries[p].key for p in ref_ids]
+            enc_keys = [dictionary.base_entries[p].key
+                        for p in dictionary.window(ref_key)]
             dec_keys = [dec.addr_bases[a].key for a in path]
             assert enc_keys == dec_keys
     return plan

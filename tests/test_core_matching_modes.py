@@ -20,41 +20,48 @@ def _bases(count):
 
 
 def _item_costs(bases):
-    # Mirrors build_dictionary's optimal-mode cost table.
-    return [2.0 + (entry.target_size or 0)
-            if entry.has_target and not entry.target_in_entry else 2.0
+    # Mirrors build_dictionary's optimal-mode cost table: 2 index bytes,
+    # plus the target bytes of a target that travels in the item.
+    return [2.0 + entry.target_size
+            if entry.target_size is not None and entry.stored_target is None
+            else 2.0
             for entry in bases]
 
 
-def _packed(counts, num_bases, max_len):
+def _packed(counts, num_bases):
     """Pack tuple-keyed window counts into the kernels' integer keys."""
     key_bits = max(1, (num_bases - 1).bit_length())
-    marks = [1 << (length * key_bits) for length in range(max_len + 1)]
     packed = {}
     for window, count in counts.items():
-        key = 0
+        key = 1 << (len(window) * key_bits)
         for offset, base_id in enumerate(window):
             key |= base_id << (offset * key_bits)
-        packed[key | marks[len(window)]] = count
-    return packed, key_bits, marks
+        packed[key] = count
+    return packed, key_bits
+
+
+def _lengths(segmentation):
+    """Segment lengths of a ``(keys, stops)`` segmentation."""
+    _, stops = segmentation
+    return [stop - start for start, stop in zip([0] + stops, stops)]
 
 
 class TestSegmentationUnits:
     def test_greedy_takes_longest(self):
         ids = [0, 1, 2, 3]
         ends = [4, 4, 4, 4]
-        counts, key_bits, marks = _packed({(0, 1, 2): 2, (0, 1): 5}, 4, 4)
-        assert _greedy_segmentation(ids, ends, counts, 4,
-                                    key_bits, marks) == [3, 1]
+        counts, key_bits = _packed({(0, 1, 2): 2, (0, 1): 5}, 4)
+        assert _lengths(_greedy_segmentation(ids, ends, counts, 4,
+                                             key_bits)) == [3, 1]
 
     def test_greedy_respects_block_ends(self):
         ids = [0, 1, 2, 3]
         ends = [2, 2, 4, 4]
-        counts, key_bits, marks = _packed(
-            {(0, 1): 2, (2, 3): 2, (0, 1, 2, 3): 9}, 4, 4)
+        counts, key_bits = _packed(
+            {(0, 1): 2, (2, 3): 2, (0, 1, 2, 3): 9}, 4)
         # The 4-window crosses a block boundary, so only the pairs match.
-        assert _greedy_segmentation(ids, ends, counts, 4,
-                                    key_bits, marks) == [2, 2]
+        assert _lengths(_greedy_segmentation(ids, ends, counts, 4,
+                                             key_bits)) == [2, 2]
 
     def test_optimal_beats_greedy_on_non_factor_closed_oracle(self):
         # (0,1) and (1,2,3,4) marked repeated, but no sub-window of the
@@ -62,10 +69,10 @@ class TestSegmentationUnits:
         # but exactly the case where greedy loses.
         ids = [0, 1, 2, 3, 4]
         ends = [5] * 5
-        counts, key_bits, marks = _packed({(0, 1): 2, (1, 2, 3, 4): 2}, 5, 4)
-        greedy = _greedy_segmentation(ids, ends, counts, 4, key_bits, marks)
-        optimal = _optimal_segmentation(ids, ends, counts, 4, key_bits, marks,
-                                        _item_costs(_bases(5)))
+        counts, key_bits = _packed({(0, 1): 2, (1, 2, 3, 4): 2}, 5)
+        greedy = _lengths(_greedy_segmentation(ids, ends, counts, 4, key_bits))
+        optimal = _lengths(_optimal_segmentation(ids, ends, counts, 4, key_bits,
+                                                 _item_costs(_bases(5))))
         assert len(greedy) == 4
         assert optimal == [1, 4]
 
@@ -78,21 +85,19 @@ class TestSegmentationUnits:
         bases[2] = BaseEntry(key=(2,), instruction=insn, target_size=4)
         ids = [0, 1, 2]
         ends = [3, 3, 3]
-        counts, key_bits, marks = _packed({(0, 1, 2): 2}, 3, 4)
-        optimal = _optimal_segmentation(ids, ends, counts, 4, key_bits, marks,
-                                        _item_costs(bases))
+        counts, key_bits = _packed({(0, 1, 2): 2}, 3)
+        optimal = _lengths(_optimal_segmentation(ids, ends, counts, 4, key_bits,
+                                                 _item_costs(bases)))
         assert optimal == [3]
 
     def test_segmentations_cover_input(self):
         ids = list(range(10))
         ends = [10] * 10
-        counts, key_bits, marks = _packed({}, 10, 4)
-        for mode in (_greedy_segmentation(ids, ends, counts, 4,
-                                          key_bits, marks),
-                     _optimal_segmentation(ids, ends, counts, 4,
-                                           key_bits, marks,
+        counts, key_bits = _packed({}, 10)
+        for mode in (_greedy_segmentation(ids, ends, counts, 4, key_bits),
+                     _optimal_segmentation(ids, ends, counts, 4, key_bits,
                                            _item_costs(_bases(10)))):
-            assert sum(mode) == 10
+            assert sum(_lengths(mode)) == 10
 
 
 class TestMatchModes:
@@ -124,8 +129,8 @@ end
         program = assemble(self.SOURCE)
         greedy = build_dictionary(program, match_mode="greedy")
         optimal = build_dictionary(program, match_mode="optimal")
-        greedy_items = sum(len(refs) for refs in greedy.function_refs)
-        optimal_items = sum(len(refs) for refs in optimal.function_refs)
+        greedy_items = sum(len(keys) for keys in greedy.function_keys)
+        optimal_items = sum(len(keys) for keys in optimal.function_keys)
         assert greedy_items == optimal_items
 
 

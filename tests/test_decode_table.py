@@ -51,6 +51,10 @@ def backend(request):
 
 # -- the oracle ----------------------------------------------------------------
 
+def _has_target(base) -> bool:
+    return base.instruction.is_branch or base.instruction.is_call
+
+
 def _oracle_expansion(layout, index):
     """``(prefix, last_insn, last_is_branch)`` of one index, by path walk."""
     path = layout.paths_of[index]
@@ -58,11 +62,11 @@ def _oracle_expansion(layout, index):
     prefix = []
     for offset, addr in enumerate(path):
         base = layout.addr_bases[addr]
-        if base.has_target:
+        if _has_target(base):
             if offset != last_offset:
                 raise DecompressionError(
                     "control transfer inside a sequence entry")
-            if base.target_in_entry:
+            if base.stored_target is not None:
                 prefix.append(base.instruction.replace_target(
                     base.stored_target))
             else:
@@ -153,7 +157,7 @@ def test_function_instructions_match_oracle(name, backend):
 def test_fixture_shapes():
     """The special containers exercise the paths they are named for."""
     absolute = open_container(_container("absolute"))
-    assert any(base.target_in_entry
+    assert any(base.stored_target is not None
                for layout in absolute.layouts for base in layout.addr_bases)
     segmented = open_container(_container("segmented"))
     assert len(segmented.layouts) > 1
@@ -250,9 +254,9 @@ def test_control_transfer_inside_sequence_is_rejected_at_open():
     data = compress(assemble(_BRANCHY)).data
     layout = open_container(data).layouts[0]
     branch = next(addr for addr, base in enumerate(layout.addr_bases)
-                  if base.is_branch)
+                  if base.instruction.is_branch)
     plain = next(addr for addr, base in enumerate(layout.addr_bases)
-                 if not base.has_target)
+                 if not _has_target(base))
     crafted = _with_trees(data, local_paths=[(branch, plain)],
                           base_space=len(layout.addr_bases))
     with pytest.raises(DecompressionError,
@@ -270,7 +274,8 @@ def test_common_tree_path_into_local_bases_is_rejected():
     lb = len(layout.addr_bases) - cb
     common_paths = list(decode_sequence_tree(reader.sections.common_tree_blob))
     plain_common, plain_local = (
-        next(addr for addr in addrs if not layout.addr_bases[addr].has_target)
+        next(addr for addr in addrs
+             if not _has_target(layout.addr_bases[addr]))
         for addrs in (range(cb), range(cb, cb + lb)))
     crafted = _with_trees(
         data, common_paths=common_paths + [(plain_common, plain_local)],

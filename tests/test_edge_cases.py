@@ -107,10 +107,7 @@ end
 class TestItemEdges:
     def test_two_byte_call_target(self):
         info = {0: EntryInfo(length=1, is_call=True, target_size=2)}
-        from repro.core.dictionary import EntryRef
-
-        blob = encode_items([EntryRef(base_ids=(5,), call_target=40000)],
-                            {(5,): 0}, info)
+        blob = encode_items([5], [40000], {5: 0}, info)
         from repro.core.items import decode_item_planes
 
         planes = decode_item_planes(blob, info)
@@ -119,11 +116,8 @@ class TestItemEdges:
 
     def test_call_target_too_large_rejected(self):
         info = {0: EntryInfo(length=1, is_call=True, target_size=1)}
-        from repro.core.dictionary import EntryRef
-
         with pytest.raises(ItemStreamError, match="does not fit"):
-            encode_items([EntryRef(base_ids=(5,), call_target=300)],
-                         {(5,): 0}, info)
+            encode_items([5], [300], {5: 0}, info)
 
 
 class TestBufferEdges:

@@ -82,5 +82,5 @@ def test_property_item_counts_consistent(program):
     reader = open_container(compress(program).data)
     for findex in range(reader.function_count):
         planes = reader.item_planes(findex)
-        refs = dictionary.function_refs[findex]
-        assert planes.lengths == [ref.length for ref in refs]
+        keys = dictionary.function_keys[findex]
+        assert planes.lengths == [len(dictionary.window(key)) for key in keys]

@@ -41,7 +41,7 @@ from repro.jit import (
 )
 from repro.vm.native import lower_instruction
 
-from .test_decode_table import _NAMES, _container, backend  # noqa: F401
+from .test_decode_table import _NAMES, _container, _has_target, backend  # noqa: F401
 
 
 # -- the oracle ----------------------------------------------------------------
@@ -56,7 +56,7 @@ def _oracle_table(layout: SegmentLayout) -> Dict[int, TableEntry]:
     """
     base_chunks = []
     for addr, base in enumerate(layout.addr_bases):
-        target_size = base.target_size if base.has_target else None
+        target_size = base.target_size if _has_target(base) else None
         try:
             base_chunks.append(lower_instruction(base.instruction, target_size))
         except ReproError:
@@ -71,7 +71,7 @@ def _oracle_table(layout: SegmentLayout) -> Dict[int, TableEntry]:
         data = b"".join(chunk.data for chunk in chunks)
         last_base = layout.addr_bases[path[-1]]
         last = chunks[-1]
-        if last_base.has_target and not last_base.target_in_entry:
+        if _has_target(last_base) and last_base.stored_target is None:
             hole_offset = len(data) - last.size + last.hole_offset
             table[index] = TableEntry(data=data,
                                       hole_offset=hole_offset,
@@ -174,7 +174,7 @@ end
 def test_base_that_fails_lowering_raises_corrupt_container():
     layout = open_container(compress(assemble(_SMALL)).data).layouts[0]
     addr = next(addr for addr, base in enumerate(layout.addr_bases)
-                if base.is_branch)
+                if base.instruction.is_branch)
     # No native branch has a 3-byte displacement.
     layout.addr_bases[addr] = dataclasses.replace(layout.addr_bases[addr],
                                                   target_size=3)

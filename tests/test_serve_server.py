@@ -110,6 +110,28 @@ class TestRequestSurface:
         assert stats["store"]["containers"] == 1
 
 
+class TestRePut:
+    def test_second_put_keeps_the_cached_reader(self, server, client,
+                                                container, monkeypatch):
+        import repro.serve.server as server_module
+        import repro.serve.store as store_module
+
+        container_id, _, _ = client.put(container)
+        cache = server.service.cache
+        reader = cache.get(("reader", container_id))
+        assert reader is not None
+        opened = []
+        for module in (server_module, store_module):
+            real = module.open_container
+            monkeypatch.setattr(
+                module, "open_container",
+                lambda *args, _real=real, **kwargs: (
+                    opened.append(args) or _real(*args, **kwargs)))
+        assert client.put(container) == (container_id, 4, 0)
+        assert opened == []
+        assert cache.get(("reader", container_id)) is reader
+
+
 class TestErrors:
     def test_unknown_container_is_not_found(self, client):
         with pytest.raises(RemoteError) as info:

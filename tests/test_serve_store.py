@@ -41,6 +41,14 @@ class TestAdmission:
         assert len(store) == 1
         assert store.admitted == 1
 
+    def test_re_put_decodes_nothing(self, container, monkeypatch):
+        import repro.serve.store as store_module
+
+        store = ContainerStore()
+        container_id, _ = store.put(container)
+        monkeypatch.setattr(store_module, "open_container", None)
+        assert store.put(container) == (container_id, None)
+
     def test_corrupt_container_rejected(self, container):
         mutated = bytearray(container)
         mutated[len(mutated) // 2] ^= 0xFF
