@@ -1,8 +1,10 @@
 """Table 1 statistics: instruction and digram redundancy.
 
 Reproduces every column of the paper's Table 1 for a program, using the
-same matching rule as the compressor (branch targets compare by size, not
-value — the table's caption calls this out explicitly).
+compressor's own matching rule (branch targets compare by size, not value
+— the table's caption calls this out explicitly): instructions are
+counted by their pass-0 base ids from
+:func:`repro.core.dictionary.intern_rows`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from ..core.dictionary import intern_rows
 from ..isa import Program
 from ..vm import native_size
 
@@ -42,8 +45,7 @@ def measure_redundancy(program: Program, x86_bytes: int = None) -> RedundancySta
     digram_counts: Counter = Counter()
     sequence_counts: Counter = Counter()
     total = 0
-    for fn in program.functions:
-        keys = fn.match_keys()
+    for keys in intern_rows(program)[1]:
         total += len(keys)
         instruction_counts.update(keys)
         for a, b in zip(keys, keys[1:]):

@@ -8,7 +8,7 @@ reverses phase one (``decompressor``); Algorithm 3 lives in
 ``copy_phase`` and is driven by the JIT runtime in ``repro.jit``.
 """
 
-from .base_entries import decode_base_entries, encode_base_entries, order_base_entries
+from .base_entries import decode_base_entries, encode_base_entries
 from .compressor import CompressedProgram, compress
 from .container import (
     DEFAULT_LIMITS,
@@ -33,7 +33,6 @@ from .decompressor import DecompressionError, SSDReader, decompress, open_contai
 from .hints import ProfileHints, decode_hints, encode_hints
 from .dictionary import (
     MAX_SEQUENCE_LENGTH,
-    BaseEntry,
     SSDDictionary,
     build_dictionary,
     dictionary_statistics,
@@ -58,7 +57,6 @@ from .sequence_tree import (
 )
 
 __all__ = [
-    "BaseEntry",
     "CallRelocation",
     "CompressedProgram",
     "ContainerError",
@@ -100,7 +98,6 @@ __all__ = [
     "layouts_from_sections",
     "lazy_program",
     "open_container",
-    "order_base_entries",
     "decode_hints",
     "encode_hints",
     "parse",

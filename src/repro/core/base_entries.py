@@ -16,42 +16,24 @@ sides agree on every 16-bit index without transmitting them.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import CorruptContainer
-from ..isa import Instruction, info
+from ..errors import CorruptContainer, LimitExceeded
+from ..isa import Instruction
 from ..isa.instruction import SLOT_SETTERS, TARGET_SIZES
 from ..isa.opcodes import NUM_REGISTERS, OP_BY_CODE
 from ..lz import delta as delta_codec
 from ..lz import lz77
 from ..lz.varint import ByteReader, ByteWriter
-from .dictionary import BaseEntry, Row
+from .container import DEFAULT_LIMITS, DecodeLimits
+from .dictionary import Row
 
 #: codecs accepted by encode/decode: "lz" and "delta" are the paper's two
 #: variants; "delta+lz" is this reproduction's extension combining them
 #: (delta-code the sorted field, then LZ the concatenated groups).
 CODECS = ("lz", "delta", "delta+lz")
-
-
-def base_row(entry: BaseEntry) -> Row:
-    """The row of a base entry: its fields as the compressor interns them
-    (see :data:`repro.core.dictionary.Row`)."""
-    insn = entry.instruction
-    row = (info(insn.op).code, insn.imm, entry.target_size, insn.rd,
-           insn.rs1, insn.rs2)
-    return row if entry.stored_target is None else row + (entry.stored_target,)
-
-
-def order_base_entries(entries: List[BaseEntry]) -> List[BaseEntry]:
-    """Canonical order — the index-space order: by group (opcode), then
-    largest field first (imm, target size, registers, stored target).
-
-    Rows sort in exactly this order: within one opcode the same fields
-    are ``None``, so comparisons only ever meet two ints or two ``None``s.
-    """
-    return sorted(entries, key=base_row)
 
 
 def _encode_groups(rows: Sequence[Row], use_delta: bool) -> bytes:
@@ -85,16 +67,9 @@ def _encode_groups(rows: Sequence[Row], use_delta: bool) -> bytes:
     return writer.getvalue()
 
 
-#: slot setters of :class:`BaseEntry`, in field order (it has no checks)
-_ENTRY_SETTERS = tuple(BaseEntry.__dict__[name].__set__
-                       for name in ("key", "instruction", "target_size",
-                                    "stored_target"))
-
-
 def _raise_first_bad_entry(op, regs: Tuple[List[Optional[int]], ...],
                            sizes: List[Optional[int]]) -> None:
-    """Report the first entry of a group that failed a column check, with
-    the message the validating constructor and ``match_key`` give."""
+    """Report the first entry of a group that failed a column check."""
     for position, size in enumerate(sizes):
         for name, column in zip(("rd", "rs1", "rs2"), regs):
             value = column[position]
@@ -108,34 +83,30 @@ def _raise_first_bad_entry(op, regs: Tuple[List[Optional[int]], ...],
     raise AssertionError("column check failed but no entry does")
 
 
-def _decode_groups(data: bytes, use_delta: bool) -> List[BaseEntry]:
-    """Rebuild base entries a group at a time, column by column.
+def _decode_groups(data: bytes, use_delta: bool, limit: int) -> List[Row]:
+    """Rebuild the rows a group at a time, column by column.
 
-    Each constructor check runs once per group on the whole column: the
-    opcode fixes which fields are present, a register column is in range
-    when its maximum is, and a target-size column when its set of values
-    is a subset of ``TARGET_SIZES``.  Instructions and entries are then
-    built with their slot setters, keys laid out as
-    :meth:`Instruction.match_key` does.
+    Each check runs once per group on the whole column: the opcode fixes
+    which fields are present, a register column is in range when its
+    maximum is, and a target-size column when its set of values is a
+    subset of ``TARGET_SIZES``.  A group that would take the entry count
+    past ``limit`` is refused before any of its columns is read.
     """
     reader = ByteReader(data)
     group_count = reader.read_uvarint()
     if group_count > len(OP_BY_CODE):
         raise CorruptContainer(f"corrupt base-entry blob: {group_count} groups")
-    entries: List[BaseEntry] = []
-    append = entries.append
-    new = object.__new__
-    set_op, set_rd, set_rs1, set_rs2, set_imm, set_target = SLOT_SETTERS
-    set_key, set_instruction, set_size, set_stored = _ENTRY_SETTERS
+    rows: List[Row] = []
     for _ in range(group_count):
         code = reader.read_u8()
         meta = OP_BY_CODE.get(code)
         if meta is None:
             raise CorruptContainer(f"corrupt base-entry blob: unknown opcode {code}")
         count = reader.read_uvarint()
-        if count > len(data):
-            raise CorruptContainer(f"corrupt base-entry blob: group of {count} entries")
-        op = meta.op
+        if len(rows) + count > limit:
+            raise LimitExceeded(
+                f"base-entry blob declares at least {len(rows) + count} "
+                f"entries (limit {limit})")
         absent: List[Optional[int]] = [None] * count
         imms = absent
         if meta.uses_imm:
@@ -149,46 +120,50 @@ def _decode_groups(data: bytes, use_delta: bool) -> List[BaseEntry]:
             else:
                 imms = reader.read_svarint_run(count)
         sizes = stored_targets = absent
-        target = tag = None
         if meta.uses_target:
             sizes = reader.read_u8_run(count)
             if reader.read_u8():
                 stored_targets = reader.read_svarint_run(count)
-            target, tag = 0, "sz"
         regs = tuple(reader.read_u8_run(count) if used else absent
                      for used in (meta.uses_rd, meta.uses_rs1, meta.uses_rs2))
         if (any(max(column, default=0) >= NUM_REGISTERS
                 for column in regs if column is not absent)
                 or sizes is not absent
                 and not set(sizes).issubset(TARGET_SIZES)):
-            _raise_first_bad_entry(op, regs, sizes)
-        for rd, rs1, rs2, imm, size, stored in zip(*regs, imms, sizes,
-                                                  stored_targets):
-            insn = new(Instruction)
-            set_op(insn, op)
-            set_rd(insn, rd)
-            set_rs1(insn, rs1)
-            set_rs2(insn, rs2)
-            set_imm(insn, imm)
-            set_target(insn, target)
-            key = (op, rd, rs1, rs2, imm, tag, size)
-            if stored is not None:
-                key += (stored,)
-            entry = new(BaseEntry)
-            set_key(entry, key)
-            set_instruction(entry, insn)
-            set_size(entry, size)
-            set_stored(entry, stored)
-            append(entry)
-    return entries
+            _raise_first_bad_entry(meta.op, regs, sizes)
+        columns = (repeat(code, count), imms, sizes, *regs)
+        if stored_targets is not absent:
+            columns += (stored_targets,)
+        rows += zip(*columns)
+    return rows
+
+
+def row_instruction(row: Row) -> Instruction:
+    """The canonical instruction of a decoded row.
+
+    Its target is the stored target in the absolute-targets ablation,
+    else 0 for an op that takes one (the real target travels in the
+    item stream).  The row's columns were checked when it was decoded,
+    so the instruction is built with its slot setters.
+    """
+    meta = OP_BY_CODE[row[0]]
+    insn = object.__new__(Instruction)
+    set_op, set_rd, set_rs1, set_rs2, set_imm, set_target = SLOT_SETTERS
+    set_op(insn, meta.op)
+    set_rd(insn, row[3])
+    set_rs1(insn, row[4])
+    set_rs2(insn, row[5])
+    set_imm(insn, row[1])
+    set_target(insn, (row[6] if len(row) > 6 else 0)
+               if meta.uses_target else None)
+    return insn
 
 
 def encode_base_entries(rows: Sequence[Row], codec: str = "lz") -> bytes:
-    """Compress the rows of canonically ordered base entries.
+    """Compress canonically ordered base entries (rows).
 
-    ``rows`` must be in canonical order: sorted rows, or the
-    :func:`base_row` of each of :func:`order_base_entries`' output.  The
-    blob layout is ``u8 codec | payload``.
+    ``rows`` must be in canonical order, that is, sorted.  The blob
+    layout is ``u8 codec | payload``.
     """
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
@@ -203,8 +178,12 @@ def encode_base_entries(rows: Sequence[Row], codec: str = "lz") -> bytes:
     return writer.getvalue()
 
 
-def decode_base_entries(blob: bytes) -> List[BaseEntry]:
-    """Inverse of :func:`encode_base_entries`; order defines indices."""
+def decode_base_entries(blob: bytes,
+                        limits: DecodeLimits = DEFAULT_LIMITS) -> List[Row]:
+    """Inverse of :func:`encode_base_entries`: the rows, whose order
+    defines the indices.  More than ``limits.max_dict_entries`` rows, or
+    an LZ payload expanding past ``limits.max_blob_output``, raise
+    :class:`~repro.errors.LimitExceeded` before they are built."""
     if not blob:
         raise CorruptContainer("empty base-entry blob")
     codec_tag = blob[0]
@@ -212,8 +191,6 @@ def decode_base_entries(blob: bytes) -> List[BaseEntry]:
         raise CorruptContainer(f"unknown codec tag {codec_tag}")
     payload = blob[1:]
     codec = CODECS[codec_tag]
-    if codec == "lz":
-        return _decode_groups(lz77.decompress(payload), use_delta=False)
-    if codec == "delta":
-        return _decode_groups(payload, use_delta=True)
-    return _decode_groups(lz77.decompress(payload), use_delta=True)
+    if codec != "delta":
+        payload = lz77.decompress(payload, limits.max_blob_output)
+    return _decode_groups(payload, codec != "lz", limits.max_dict_entries)

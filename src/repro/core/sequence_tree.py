@@ -25,9 +25,10 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, List, Tuple
 
-from ..errors import CorruptContainer, TruncatedStream
+from ..errors import CorruptContainer, LimitExceeded, TruncatedStream
 from ..lz import lz77
 from ..lz.varint import ByteReader, ByteWriter
+from .container import DEFAULT_LIMITS, DecodeLimits
 
 _POP_HIGH_BIT = 0x8000
 _POP_RESERVED = 0xFFFF
@@ -98,12 +99,22 @@ def encode_sequence_tree(sequences: Iterable[Tuple[int, ...]],
     return lz77.compress(writer.getvalue())
 
 
-def decode_sequence_tree(blob: bytes) -> Dict[Tuple[int, ...], int]:
-    """Parse the forest; returns path -> DFS rank (as in assignment)."""
-    data = lz77.decompress(blob)
+def decode_sequence_tree(blob: bytes, limits: DecodeLimits = DEFAULT_LIMITS
+                         ) -> Dict[Tuple[int, ...], int]:
+    """Parse the forest; returns path -> DFS rank (as in assignment).
+
+    A tree of more than ``limits.max_dict_entries`` nodes raises
+    :class:`~repro.errors.LimitExceeded` as its count passes the limit.
+    """
+    data = lz77.decompress(blob, limits.max_blob_output)
     reader = ByteReader(data)
     use_high_bit = bool(reader.read_u8())
     root_count = reader.read_uvarint()
+    limit = limits.max_dict_entries
+    if root_count > limit:
+        # every root of a well-formed forest has a node below it
+        raise LimitExceeded(f"sequence tree declares {root_count} roots "
+                            f"(limit {limit})")
     pop_token = _POP_HIGH_BIT if use_high_bit else _POP_RESERVED
     ranks: Dict[Tuple[int, ...], int] = {}
     counter = 0
@@ -111,9 +122,13 @@ def decode_sequence_tree(blob: bytes) -> Dict[Tuple[int, ...], int]:
     roots_seen = 0
     if not root_count:
         return ranks
-    # The rest is little-endian u16 tokens: unpack them in one call.
+    # The rest is little-endian u16 tokens: unpack them in one call, but
+    # no more than the walk can use.  A pop follows a push, and a push
+    # starts a root (at most ``root_count``) or adds a node (at most
+    # ``limit`` before the walk raises).
     start = reader.position
-    tokens = struct.unpack_from(f"<{(len(data) - start) // 2}H", data, start)
+    count = min((len(data) - start) // 2, 2 * (root_count + limit + 1))
+    tokens = struct.unpack_from(f"<{count}H", data, start)
     for token in tokens:
         if token == pop_token:
             if not path:
@@ -128,6 +143,9 @@ def decode_sequence_tree(blob: bytes) -> Dict[Tuple[int, ...], int]:
             raise CorruptContainer(f"corrupt sequence tree: unexpected token {token:#x}")
         path.append(token)
         if len(path) >= 2:
+            if counter == limit:
+                raise LimitExceeded(f"sequence tree declares more than "
+                                    f"{limit} nodes")
             ranks[tuple(path)] = counter
             counter += 1
     if roots_seen < root_count:

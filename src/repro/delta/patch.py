@@ -37,7 +37,8 @@ matching even for *unchanged* functions:
 
 * ``REMAP base_findex`` — re-tokenize the base function's item stream
   and translate every dictionary index through the old→new entry
-  mapping (entries matched by key, sequence nodes by their key path).
+  mapping (base entries matched by row, sequence nodes by their path
+  of rows).
   A function whose body did not change re-encodes byte-identically, so
   the whole stream costs three bytes on the wire;
 * ``REMAP_DELTA base_findex stream`` — the same translation followed
@@ -355,8 +356,8 @@ class _RemapContext:
         cached = self._symbols.get(sindex)
         if cached is None:
             layout = self.layouts()[sindex]
-            addr_bases = layout.addr_bases
-            cached = {index: tuple(addr_bases[addr].key for addr in path)
+            rows = layout.addr_rows
+            cached = {index: tuple(map(rows.__getitem__, path))
                       for index, path in layout.paths_of.items()}
             self._symbols[sindex] = cached
         return cached

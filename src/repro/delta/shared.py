@@ -18,17 +18,11 @@ only the program's residual rides the wire.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Tuple
+from typing import Iterable
 
-from ..core.base_entries import (
-    base_row,
-    decode_base_entries,
-    encode_base_entries,
-    order_base_entries,
-)
+from ..core.base_entries import decode_base_entries, encode_base_entries
 from ..core.compressor import compress
 from ..core.container import ContainerSections, parse, serialize
-from ..core.dictionary import BaseEntry
 from ..isa import Program
 
 #: default dictionary-entry budget for a shared base (mirrors the index
@@ -40,16 +34,13 @@ DEFAULT_BUDGET = 2048
 SHARED_BASE_NAME = "shared-base"
 
 
-def count_base_entries(containers: Iterable[bytes],
-                       ) -> Tuple[Counter, Dict[Tuple, BaseEntry]]:
+def count_base_entries(containers: Iterable[bytes]) -> Counter:
     """Frequency-count base entries across serialized containers.
 
     Counts every entry in each container's common and per-segment base
-    dictionaries, keyed by the entry's canonical match key; returns the
-    counter plus a representative :class:`BaseEntry` per key.
+    dictionaries, keyed by its row.
     """
     counts: Counter = Counter()
-    entry_of: Dict[Tuple, BaseEntry] = {}
     for data in containers:
         sections = parse(data)
         blobs = [sections.common_base_blob]
@@ -57,10 +48,8 @@ def count_base_entries(containers: Iterable[bytes],
         for blob in blobs:
             if not blob:
                 continue
-            for entry in decode_base_entries(blob):
-                counts[entry.key] += 1
-                entry_of.setdefault(entry.key, entry)
-    return counts, entry_of
+            counts.update(decode_base_entries(blob))
+    return counts
 
 
 def train_shared_base(programs: Iterable[Program],
@@ -76,16 +65,15 @@ def train_shared_base(programs: Iterable[Program],
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     containers = [compress(program).data for program in programs]
-    counts, entry_of = count_base_entries(containers)
-    ranked = order_base_entries(list(entry_of.values()))
-    ranked.sort(key=lambda entry: -counts[entry.key])
-    kept = order_base_entries(ranked[:budget])
+    counts = count_base_entries(containers)
+    ranked = sorted(counts)
+    ranked.sort(key=lambda row: -counts[row])
+    kept = sorted(ranked[:budget])
     sections = ContainerSections(
         program_name=name,
         entry=0,
         function_names=[],
-        common_base_blob=encode_base_entries(
-            [base_row(entry) for entry in kept]) if kept else b"",
+        common_base_blob=encode_base_entries(kept) if kept else b"",
         common_tree_blob=b"",
         segments=[],
         item_streams=[],

@@ -1,23 +1,18 @@
-"""The :class:`Instruction` value type and the paper's matching rule.
+"""The :class:`Instruction` value type and its field size classes.
 
-Two ideas from the paper live here:
-
-1. Instructions are *structured* values with named fields (opcode,
-   registers, immediate, branch target) — the non-byte-aligned quantities
-   split-stream methods operate on (paper Figure 1).
-
-2. The match key (section 2.1): when comparing instructions for dictionary
-   construction, two branch instructions match when their pc-relative
-   target fields are "equal in size" while every other field is exactly
-   equal.  :meth:`Instruction.match_key` implements exactly that rule; the
-   Table 1 statistics, Algorithm 1, and BRISC pattern inference all share
-   it.
+Instructions are *structured* values with named fields (opcode,
+registers, immediate, branch target) — the non-byte-aligned quantities
+split-stream methods operate on (paper Figure 1).  The size classes
+below are what the paper's matching rule (section 2.1) compares branch
+and call targets by; the rule itself lives in one place,
+:func:`repro.core.dictionary.intern_rows`, which Algorithm 1 and the
+Table 1 statistics share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .opcodes import NUM_REGISTERS, Kind, Op, OpInfo, info
 
@@ -124,28 +119,6 @@ class Instruction:
     @property
     def is_terminator(self) -> bool:
         return self.meta.is_terminator
-
-    def match_key(self, target_size: Optional[int] = None) -> Tuple:
-        """Key under the paper's matching rule.
-
-        For branch/jump instructions the pc-relative target *value* is
-        replaced by its encoded *size* in bytes, which the caller computes
-        from the instruction's position (see
-        :func:`repro.isa.program.Function.target_sizes`).  Calls are
-        likewise matched by target size: their targets are emitted through
-        the item stream's relocation machinery just like forward branches
-        (Algorithm 3 step 2.e).  All other fields must match exactly.
-        """
-        if self.is_branch or self.is_call:
-            if target_size not in TARGET_SIZES:
-                raise ValueError(
-                    f"{self.op.value}: branch match key needs a target size in "
-                    f"{TARGET_SIZES}, got {target_size!r}"
-                )
-            return (self.op, self.rd, self.rs1, self.rs2, self.imm, "sz", target_size)
-        if target_size is not None:
-            raise ValueError(f"{self.op.value}: target size given for non-branch")
-        return (self.op, self.rd, self.rs1, self.rs2, self.imm, None, None)
 
     def replace_target(self, new_target: int) -> "Instruction":
         """Return a copy with a different branch/call target.

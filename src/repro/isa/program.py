@@ -50,15 +50,6 @@ class Function:
                 append(None)
         return sizes
 
-    def match_keys(self) -> List[Tuple]:
-        """Match key (paper section 2.1 rule) for every instruction.
-
-        ``target_sizes`` yields ``None`` exactly for instructions without
-        a target, so ``match_key(size)`` handles every case.
-        """
-        return [insn.match_key(size)
-                for insn, size in zip(self.insns, self.target_sizes())]
-
     def validate_targets(self) -> None:
         """Raise ``ValueError`` on out-of-range intra-function targets."""
         for index, insn in enumerate(self.insns):
@@ -102,13 +93,6 @@ class Program:
         for findex, fn in enumerate(self.functions):
             for iindex, insn in enumerate(fn.insns):
                 yield findex, iindex, insn
-
-    def match_keys(self) -> List[Tuple]:
-        """Match keys of every instruction, program order."""
-        keys: List[Tuple] = []
-        for fn in self.functions:
-            keys.extend(fn.match_keys())
-        return keys
 
     def opcode_histogram(self) -> Dict[Op, int]:
         histogram: Dict[Op, int] = {}

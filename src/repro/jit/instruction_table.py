@@ -6,10 +6,10 @@ tagged native byte sequence.  The tag carries the sequence length and, for
 entries ending in a control transfer, where the target hole sits — exactly
 what Algorithm 3 needs so that phase two is a block copy plus a patch.
 
-The table is built in one pass over a :class:`SegmentLayout`: each base is
-lowered once into a one-entry row (its native bytes and hole tag), and each
-index's row is its base's row or, for a sequence, the join of its bases'
-bytes tagged by its last base.  A segment's table is a tuple indexed by
+The table is built in one pass over a :class:`SegmentLayout`'s decode
+table, in index order: each base's canonical instruction is lowered once
+into a one-entry row (its native bytes and hole tag), and a sequence's row
+is the join of its bases' bytes tagged by its last base.  A segment's table is a tuple indexed by
 dictionary index.  The common region (indices ``[0, cb+cs)``) is the same
 in every segment, so it is built once per container and its rows are
 shared by every segment's table.
@@ -32,7 +32,6 @@ from ..core.copy_phase import TableEntry
 from ..core.decompressor import SSDReader
 from ..core.layout import SegmentLayout
 from ..errors import CorruptContainer, ReproError
-from ..isa import info
 from ..obs import REGISTRY, TRACER
 from ..vm.native import lower_instruction
 
@@ -58,32 +57,36 @@ def build_table_for_layout(layout: SegmentLayout,
     exceptions.
     """
     first_addr, first_index = layout.common if shared else (0, 0)
+    addr_rows = layout.addr_rows
     rows = list(shared[:first_addr])  # by addressing id: the base's own row
-    for addr in range(first_addr, len(layout.addr_bases)):
-        base = layout.addr_bases[addr]
-        insn = base.instruction
-        meta = info(insn.op)
-        transfer = meta.is_branch or meta.is_call
-        try:
-            chunk = lower_instruction(insn, base.target_size if transfer else None)
-        except ReproError:
-            raise
-        except (ValueError, OverflowError, KeyError) as exc:
-            raise CorruptContainer(
-                f"dictionary entry {addr} fails native lowering: {exc}") from exc
-        if transfer and base.stored_target is None:
-            rows.append(TableEntry(chunk.data, chunk.hole_offset,
-                                   chunk.hole_size, chunk.is_call))
-        else:
-            rows.append(TableEntry(chunk.data))
-
     table = list(shared[:first_index])
     append = table.append
-    for path in islice(layout.paths_of.values(), first_index, None):
-        last = rows[path[-1]]
+    for path, expansion in zip(
+            islice(layout.paths_of.values(), first_index, None),
+            islice(layout.table, first_index, None)):
         if len(path) == 1:
-            append(last)
+            # A base, in addressing order: lower the instruction of its
+            # decode-table expansion.
+            head, tail, _ = expansion
+            addr = path[0]
+            row = addr_rows[addr]
+            try:
+                chunk = lower_instruction(head[0] if head else tail, row[2])
+            except ReproError:
+                raise
+            except (ValueError, OverflowError, KeyError) as exc:
+                raise CorruptContainer(
+                    f"dictionary entry {addr} fails native lowering: {exc}"
+                ) from exc
+            # A hole when the op takes a target and the row stores none:
+            # then the expansion awaits its item's target as ``tail``.
+            entry = (TableEntry(chunk.data, chunk.hole_offset,
+                                chunk.hole_size, chunk.is_call)
+                     if tail is not None else TableEntry(chunk.data))
+            rows.append(entry)
+            append(entry)
             continue
+        last = rows[path[-1]]
         # A hole sits at the end of its base's bytes, so it keeps its
         # distance from the end of the joined sequence.
         data = b"".join([rows[addr].data for addr in path])

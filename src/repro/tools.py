@@ -159,7 +159,7 @@ def _inspect_json(data: bytes, reader, function: Optional[int]) -> dict:
         "segments": [
             {
                 "index": sindex,
-                "base_entries": len(layout.addr_bases),
+                "base_entries": len(layout.addr_rows),
                 "sequence_nodes": sum(
                     1 for path in layout.paths_of.values() if len(path) > 1),
             }
@@ -217,7 +217,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     for section, size in sorted(sizes.items(), key=lambda kv: -kv[1]):
         print(f"  {section:>14}: {size:>8} B")
     for sindex, layout in enumerate(reader.layouts):
-        bases = len(layout.addr_bases)
+        bases = len(layout.addr_rows)
         sequences = sum(1 for path in layout.paths_of.values() if len(path) > 1)
         print(f"segment {sindex}: {bases} base entries, "
               f"{sequences} sequence-tree nodes")

@@ -4,28 +4,22 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import build_dictionary, compress, decompress
-from repro.core.dictionary import (
-    BaseEntry,
-    _greedy_segmentation,
-    _optimal_segmentation,
-)
-from repro.isa import Instruction, Op, assemble
+from repro.core.dictionary import _greedy_segmentation, _optimal_segmentation
+from repro.isa import Op, assemble, info
 
 from .strategies import programs
 
 
 def _bases(count):
-    return [BaseEntry(key=(i,), instruction=Instruction(op=Op.NOP))
-            for i in range(count)]
+    """``count`` NOP rows (distinct ids, one row each)."""
+    return [(info(Op.NOP).code, None, None, None, None, None)] * count
 
 
-def _item_costs(bases):
+def _item_costs(rows):
     # Mirrors build_dictionary's optimal-mode cost table: 2 index bytes,
     # plus the target bytes of a target that travels in the item.
-    return [2.0 + entry.target_size
-            if entry.target_size is not None and entry.stored_target is None
-            else 2.0
-            for entry in bases]
+    return [2.0 + row[2] if row[2] is not None and len(row) == 6 else 2.0
+            for row in rows]
 
 
 def _packed(counts, num_bases):
@@ -80,9 +74,8 @@ class TestSegmentationUnits:
         # Entry 2 is a branch with a 4-byte target: a segmentation that
         # uses it as its own item pays 6 bytes either way, so the DP
         # still prefers fewer items.
-        insn = Instruction(op=Op.JMP, target=0)
         bases = _bases(3)
-        bases[2] = BaseEntry(key=(2,), instruction=insn, target_size=4)
+        bases[2] = (info(Op.JMP).code, None, 4, None, None, None)
         ids = [0, 1, 2]
         ends = [3, 3, 3]
         counts, key_bits = _packed({(0, 1, 2): 2}, 3)

@@ -2,7 +2,8 @@
 
 The oracle below is the copy phase as it stood before the table existed:
 each dictionary index expands lazily, on first use, by walking its path
-through the layout's base entries (``_oracle_expansion``), and every
+through the layout's base rows (``_oracle_expansion``, which builds each
+instruction through the validating constructor), and every
 target-carrying tail is materialized with ``Instruction.replace_target``.
 ``SSDReader.function_instructions`` must return exactly what the oracle
 returns, for every function, on both kernel backends.
@@ -33,7 +34,7 @@ from repro.core.base_entries import decode_base_entries
 from repro.core.items import resolve_plane_targets
 from repro.core.sequence_tree import decode_sequence_tree, encode_sequence_tree
 from repro.errors import CorruptContainer, ReproError
-from repro.isa import assemble
+from repro.isa import OP_BY_CODE, Instruction, assemble
 from repro.kernels import KIND_CALL, KIND_PLAIN, ItemPlanes
 from repro.lz import lz77
 from repro.lz.varint import ByteReader, ByteWriter
@@ -51,8 +52,21 @@ def backend(request):
 
 # -- the oracle ----------------------------------------------------------------
 
-def _has_target(base) -> bool:
-    return base.instruction.is_branch or base.instruction.is_call
+def _has_target(row) -> bool:
+    meta = OP_BY_CODE[row[0]]
+    return meta.is_branch or meta.is_call
+
+
+def _stored_target(row):
+    """The target a row stores (absolute-targets ablation), else None."""
+    return row[6] if len(row) > 6 else None
+
+
+def _instruction(row) -> Instruction:
+    """A row's fields through the validating constructor, target 0."""
+    return Instruction(op=OP_BY_CODE[row[0]].op, rd=row[3], rs1=row[4],
+                       rs2=row[5], imm=row[1],
+                       target=0 if _has_target(row) else None)
 
 
 def _oracle_expansion(layout, index):
@@ -61,18 +75,18 @@ def _oracle_expansion(layout, index):
     last_offset = len(path) - 1
     prefix = []
     for offset, addr in enumerate(path):
-        base = layout.addr_bases[addr]
-        if _has_target(base):
+        row = layout.addr_rows[addr]
+        insn = _instruction(row)
+        if _has_target(row):
             if offset != last_offset:
                 raise DecompressionError(
                     "control transfer inside a sequence entry")
-            if base.stored_target is not None:
-                prefix.append(base.instruction.replace_target(
-                    base.stored_target))
+            if _stored_target(row) is not None:
+                prefix.append(insn.replace_target(_stored_target(row)))
             else:
-                return prefix, base.instruction, base.instruction.is_branch
+                return prefix, insn, insn.is_branch
         else:
-            prefix.append(base.instruction)
+            prefix.append(insn)
     return prefix, None, False
 
 
@@ -157,8 +171,8 @@ def test_function_instructions_match_oracle(name, backend):
 def test_fixture_shapes():
     """The special containers exercise the paths they are named for."""
     absolute = open_container(_container("absolute"))
-    assert any(base.stored_target is not None
-               for layout in absolute.layouts for base in layout.addr_bases)
+    assert any(_stored_target(row) is not None
+               for layout in absolute.layouts for row in layout.addr_rows)
     segmented = open_container(_container("segmented"))
     assert len(segmented.layouts) > 1
     assert segmented.sections.common_base_blob
@@ -253,12 +267,12 @@ def _with_trees(data: bytes, common_paths=None, local_paths=None,
 def test_control_transfer_inside_sequence_is_rejected_at_open():
     data = compress(assemble(_BRANCHY)).data
     layout = open_container(data).layouts[0]
-    branch = next(addr for addr, base in enumerate(layout.addr_bases)
-                  if base.instruction.is_branch)
-    plain = next(addr for addr, base in enumerate(layout.addr_bases)
-                 if not _has_target(base))
+    branch = next(addr for addr, row in enumerate(layout.addr_rows)
+                  if OP_BY_CODE[row[0]].is_branch)
+    plain = next(addr for addr, row in enumerate(layout.addr_rows)
+                 if not _has_target(row))
     crafted = _with_trees(data, local_paths=[(branch, plain)],
-                          base_space=len(layout.addr_bases))
+                          base_space=len(layout.addr_rows))
     with pytest.raises(DecompressionError,
                        match="control transfer inside a sequence entry"):
         open_container(crafted)
@@ -271,11 +285,11 @@ def test_common_tree_path_into_local_bases_is_rejected():
     reader = open_container(data)
     layout = reader.layouts[0]
     cb, _ = _common_sizes(reader.sections)
-    lb = len(layout.addr_bases) - cb
+    lb = len(layout.addr_rows) - cb
     common_paths = list(decode_sequence_tree(reader.sections.common_tree_blob))
     plain_common, plain_local = (
         next(addr for addr in addrs
-             if not _has_target(layout.addr_bases[addr]))
+             if not _has_target(layout.addr_rows[addr]))
         for addrs in (range(cb), range(cb, cb + lb)))
     crafted = _with_trees(
         data, common_paths=common_paths + [(plain_common, plain_local)],

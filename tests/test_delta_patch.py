@@ -168,8 +168,10 @@ class TestSharedBase:
 
         programs = [benchmark_program("xlisp", scale=0.05)]
         small = train_shared_base(programs, budget=4)
-        counts, _ = count_base_entries([small])
+        counts = count_base_entries([small])
         assert 0 < len(counts) <= 4
+        # one count per distinct row
+        assert set(counts.values()) == {1}
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,16 @@
 import pytest
 from hypothesis import given
 
+from repro.core.dictionary import intern_rows
 from repro.isa import (
+    Function,
     Instruction,
     NUM_REGISTERS,
     OP_BY_CODE,
     OP_BY_MNEMONIC,
     OP_TABLE,
     Op,
+    Program,
     immediate_size_class,
     info,
     target_size_class,
@@ -129,42 +132,55 @@ class TestSizeClasses:
         assert immediate_size_class(value) == size
 
 
+def _base_ids(*insns, absolute_targets=False):
+    """Pass-0 base ids of ``insns``, laid out as one function."""
+    program = Program(name="t", functions=[Function(name="f",
+                                                    insns=list(insns))])
+    _, (ids,), _ = intern_rows(program, absolute_targets)
+    return ids
+
+
 class TestMatchKey:
+    """The paper's matching rule (section 2.1) as pass 0 of the
+    dictionary applies it: instructions match when their rows, and so
+    their base ids, are equal."""
+
     def test_non_branch_key_is_exact(self):
         a = Instruction(op=Op.ADDI, rd=1, rs1=2, imm=3)
         b = Instruction(op=Op.ADDI, rd=1, rs1=2, imm=3)
         c = Instruction(op=Op.ADDI, rd=1, rs1=2, imm=4)
-        assert a.match_key() == b.match_key()
-        assert a.match_key() != c.match_key()
+        first, second, third = _base_ids(a, b, c)
+        assert first == second != third
 
     def test_branch_key_ignores_target_value(self):
-        # Paper section 2.1: same size, different value => match.
+        # Same size, different value => match.  Both displacements fit
+        # the 1-byte class.
         near1 = Instruction(op=Op.BNE, rs1=1, rs2=2, target=5)
-        near2 = Instruction(op=Op.BNE, rs1=1, rs2=2, target=90)
-        assert near1.match_key(1) == near2.match_key(1)
+        near2 = Instruction(op=Op.BNE, rs1=1, rs2=2, target=9)
+        first, second = _base_ids(near1, near2)
+        assert first == second
+        # ...unless targets live in the entry (absolute-targets ablation).
+        first, second = _base_ids(near1, near2, absolute_targets=True)
+        assert first != second
 
     def test_branch_key_distinguishes_target_size(self):
-        insn = Instruction(op=Op.BNE, rs1=1, rs2=2, target=5)
-        assert insn.match_key(1) != insn.match_key(2)
+        near = Instruction(op=Op.BNE, rs1=1, rs2=2, target=5)
+        far = Instruction(op=Op.BNE, rs1=1, rs2=2, target=90)
+        first, second = _base_ids(near, far)
+        assert first != second
 
     def test_branch_key_distinguishes_registers(self):
         a = Instruction(op=Op.BNE, rs1=1, rs2=2, target=5)
         b = Instruction(op=Op.BNE, rs1=1, rs2=3, target=5)
-        assert a.match_key(1) != b.match_key(1)
-
-    def test_branch_key_requires_size(self):
-        insn = Instruction(op=Op.JMP, target=0)
-        with pytest.raises(ValueError):
-            insn.match_key()
-
-    def test_non_branch_key_rejects_size(self):
-        with pytest.raises(ValueError):
-            Instruction(op=Op.NOP).match_key(2)
+        first, second = _base_ids(a, b)
+        assert first != second
 
     def test_call_key_uses_size(self):
         a = Instruction(op=Op.CALL, target=3)
         b = Instruction(op=Op.CALL, target=200)
-        assert a.match_key(1) == b.match_key(1)
+        c = Instruction(op=Op.CALL, target=300)
+        first, second, third = _base_ids(a, b, c)
+        assert first == second != third
 
 
 class TestRender:
@@ -186,6 +202,7 @@ class TestRender:
 
 @given(non_control_instruction())
 def test_property_generated_instructions_are_valid(insn):
-    # Construction already validates; match_key must not raise.
-    key = insn.match_key()
-    assert key[0] is insn.op
+    # Construction already validates; pass 0 must take it as it is.
+    (row,), _, _ = intern_rows(Program(name="t", functions=[
+        Function(name="f", insns=[insn])]))
+    assert row[0] == info(insn.op).code

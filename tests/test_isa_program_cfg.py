@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+from repro.core.dictionary import intern_rows
 from repro.isa import (
     BasicBlock,
     Function,
@@ -68,9 +69,11 @@ class TestFunction:
             fn.validate_targets()
 
     def test_match_keys_parallel_to_insns(self):
+        # Pass 0 of the dictionary gives one base id per instruction.
         fn = Function(name="f", insns=[_addi(), Instruction(op=Op.JMP, target=0), _ret()])
-        keys = fn.match_keys()
-        assert len(keys) == 3
+        rows, (ids,), _ = intern_rows(_make_program(fn))
+        assert len(ids) == 3
+        assert len(rows) == 3
 
 
 class TestProgram:

@@ -30,7 +30,7 @@ from repro.core.copy_phase import (
 )
 from repro.core.layout import SegmentLayout
 from repro.errors import CorruptContainer, ReproError
-from repro.isa import assemble
+from repro.isa import OP_BY_CODE, assemble
 from repro.kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN, ItemPlanes
 from repro.jit import (
     BlockTranslator,
@@ -41,7 +41,14 @@ from repro.jit import (
 )
 from repro.vm.native import lower_instruction
 
-from .test_decode_table import _NAMES, _container, _has_target, backend  # noqa: F401
+from .test_decode_table import (  # noqa: F401
+    _NAMES,
+    _container,
+    _has_target,
+    _instruction,
+    _stored_target,
+    backend,
+)
 
 
 # -- the oracle ----------------------------------------------------------------
@@ -55,10 +62,10 @@ def _oracle_table(layout: SegmentLayout) -> Dict[int, TableEntry]:
     exceptions.
     """
     base_chunks = []
-    for addr, base in enumerate(layout.addr_bases):
-        target_size = base.target_size if _has_target(base) else None
+    for addr, row in enumerate(layout.addr_rows):
+        target_size = row[2] if _has_target(row) else None
         try:
-            base_chunks.append(lower_instruction(base.instruction, target_size))
+            base_chunks.append(lower_instruction(_instruction(row), target_size))
         except ReproError:
             raise
         except (ValueError, OverflowError, KeyError) as exc:
@@ -69,9 +76,9 @@ def _oracle_table(layout: SegmentLayout) -> Dict[int, TableEntry]:
     for index, path in layout.paths_of.items():
         chunks = [base_chunks[addr] for addr in path]
         data = b"".join(chunk.data for chunk in chunks)
-        last_base = layout.addr_bases[path[-1]]
+        last_row = layout.addr_rows[path[-1]]
         last = chunks[-1]
-        if _has_target(last_base) and last_base.stored_target is None:
+        if _has_target(last_row) and _stored_target(last_row) is None:
             hole_offset = len(data) - last.size + last.hole_offset
             table[index] = TableEntry(data=data,
                                       hole_offset=hole_offset,
@@ -173,11 +180,11 @@ end
 
 def test_base_that_fails_lowering_raises_corrupt_container():
     layout = open_container(compress(assemble(_SMALL)).data).layouts[0]
-    addr = next(addr for addr, base in enumerate(layout.addr_bases)
-                if base.instruction.is_branch)
+    rows = layout.addr_rows
+    addr = next(addr for addr, row in enumerate(rows)
+                if OP_BY_CODE[row[0]].is_branch)
     # No native branch has a 3-byte displacement.
-    layout.addr_bases[addr] = dataclasses.replace(layout.addr_bases[addr],
-                                                  target_size=3)
+    rows[addr] = rows[addr][:2] + (3,) + rows[addr][3:]
     with pytest.raises(CorruptContainer,
                        match=f"dictionary entry {addr} fails native lowering"):
         build_table_for_layout(layout)

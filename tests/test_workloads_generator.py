@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.dictionary import intern_rows
 from repro.isa import validate_program
 from repro.vm import run_program
 from repro.workloads import (
@@ -93,8 +94,8 @@ class TestGenerator:
         large = ProgramGenerator(p, scale=0.5).generate()
 
         def reuse(program):
-            keys = program.match_keys()
-            return len(keys) / len(set(keys))
+            rows, id_lists, _ = intern_rows(program)
+            return sum(map(len, id_lists)) / len(rows)
 
         assert reuse(large) > reuse(small)
 
