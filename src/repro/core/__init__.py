@@ -38,7 +38,7 @@ from .dictionary import (
     dictionary_statistics,
 )
 from .lazy import LazyProgram, lazy_program
-from .items import EntryInfo, ItemStreamError, encode_items
+from .items import ItemStreamError, encode_items
 from .layout import SegmentLayout, build_layouts, layouts_from_sections
 from .partition import (
     DEFAULT_COMMON_BUDGET,
@@ -50,6 +50,7 @@ from .partition import (
     plan_partition,
 )
 from .sequence_tree import (
+    SEQUENCE_LENGTH_CAP,
     assign_sequence_indices,
     decode_sequence_tree,
     encode_sequence_tree,
@@ -67,7 +68,6 @@ __all__ = [
     "DecodeLimits",
     "DecompressionError",
     "ProfileHints",
-    "EntryInfo",
     "IntegrityReport",
     "SectionSpan",
     "ItemStreamError",
@@ -76,6 +76,7 @@ __all__ = [
     "PartitionError",
     "PartitionPlan",
     "SEGMENT_CAPACITY",
+    "SEQUENCE_LENGTH_CAP",
     "SSDDictionary",
     "SSDReader",
     "Segment",

@@ -64,9 +64,7 @@ def _encode_item_streams(dictionary: SSDDictionary, plan,
     for keys, targets, segment in zip(dictionary.function_keys,
                                       dictionary.function_targets,
                                       plan.segment_of_function):
-        layout = layouts[segment]
-        streams.append(encode_items(keys, targets, layout.index_of,
-                                    layout.info_of))
+        streams.append(encode_items(keys, targets, layouts[segment]))
     return streams
 
 

@@ -95,9 +95,8 @@ class SSDReader:
 
     def item_planes(self, findex: int) -> ItemPlanes:
         """Decode one function's item stream into split planes."""
-        layout = self.layout_for_function(findex)
         return decode_item_planes(self.sections.item_streams[findex],
-                                  layout.info_of, cache=layout)
+                                  self.layout_for_function(findex))
 
     def function_instructions(self, findex: int) -> List[Instruction]:
         """Incrementally decompress one function back to VM instructions.

@@ -30,6 +30,11 @@ from ..lz import lz77
 from ..lz.varint import ByteReader, ByteWriter
 from .container import DEFAULT_LIMITS, DecodeLimits
 
+#: the longest sequence entry, in base entries: the compressor refuses a
+#: longer ``max_len`` and the decoder a longer tree path, which bounds
+#: what one path costs the layout (the paper fixes 4)
+SEQUENCE_LENGTH_CAP = 16
+
 _POP_HIGH_BIT = 0x8000
 _POP_RESERVED = 0xFFFF
 _HIGH_BIT_LIMIT = 1 << 15
@@ -103,8 +108,9 @@ def decode_sequence_tree(blob: bytes, limits: DecodeLimits = DEFAULT_LIMITS
                          ) -> Dict[Tuple[int, ...], int]:
     """Parse the forest; returns path -> DFS rank (as in assignment).
 
-    A tree of more than ``limits.max_dict_entries`` nodes raises
-    :class:`~repro.errors.LimitExceeded` as its count passes the limit.
+    A tree of more than ``limits.max_dict_entries`` nodes, or with a
+    path longer than :data:`SEQUENCE_LENGTH_CAP`, raises
+    :class:`~repro.errors.LimitExceeded` as it passes the bound.
     """
     data = lz77.decompress(blob, limits.max_blob_output)
     reader = ByteReader(data)
@@ -142,7 +148,11 @@ def decode_sequence_tree(blob: bytes, limits: DecodeLimits = DEFAULT_LIMITS
         if use_high_bit and token & _POP_HIGH_BIT:
             raise CorruptContainer(f"corrupt sequence tree: unexpected token {token:#x}")
         path.append(token)
-        if len(path) >= 2:
+        depth = len(path)
+        if depth >= 2:
+            if depth > SEQUENCE_LENGTH_CAP:
+                raise LimitExceeded(f"sequence tree path is longer than "
+                                    f"{SEQUENCE_LENGTH_CAP} entries")
             if counter == limit:
                 raise LimitExceeded(f"sequence tree declares more than "
                                     f"{limit} nodes")

@@ -358,7 +358,7 @@ class _RemapContext:
             layout = self.layouts()[sindex]
             rows = layout.addr_rows
             cached = {index: tuple(map(rows.__getitem__, path))
-                      for index, path in layout.paths_of.items()}
+                      for index, path in enumerate(layout.paths)}
             self._symbols[sindex] = cached
         return cached
 
@@ -404,16 +404,15 @@ def _remap_stream(blob: bytes, layout: SegmentLayout,
     """
     reader = ByteReader(blob)
     writer = ByteWriter()
-    info_of = layout.info_of
+    widths = layout.widths
     while not reader.at_end():
         old = reader.read_u16()
-        entry = info_of.get(old)
-        if entry is None:
+        if old >= len(widths):
             raise DeltaError(f"REMAP: stream references unknown dictionary "
                              f"index {old}", section="patch")
         writer.write_u16(mapping.get(old, old))
-        if entry.is_branch or entry.is_call:
-            writer.write_bytes(reader.read_bytes(entry.target_size))
+        if widths[old]:
+            writer.write_bytes(reader.read_bytes(widths[old]))
     return writer.getvalue()
 
 

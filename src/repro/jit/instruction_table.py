@@ -61,9 +61,8 @@ def build_table_for_layout(layout: SegmentLayout,
     rows = list(shared[:first_addr])  # by addressing id: the base's own row
     table = list(shared[:first_index])
     append = table.append
-    for path, expansion in zip(
-            islice(layout.paths_of.values(), first_index, None),
-            islice(layout.table, first_index, None)):
+    for path, expansion in zip(islice(layout.paths, first_index, None),
+                               islice(layout.table, first_index, None)):
         if len(path) == 1:
             # A base, in addressing order: lower the instruction of its
             # decode-table expansion.

@@ -3,11 +3,16 @@
 Stream VByte (Lemire & Kurz) makes byte-oriented integer decoding fast by
 *splitting the stream*: control bytes in one plane, data bytes in another,
 so a bulk kernel can gather per-item widths without a branch per item.
-SSD's item streams, varint runs, and LZ77 token streams all have that
-structure latent in them — a 16-bit dictionary index is the control word
-that determines how many data bytes (0/1/2/4 target bytes) follow.  This
-package restructures those streams into split planes *at decode time* and
-expands them in bulk with ``numpy``.
+Varint runs and LZ77 token streams have that structure latent in them;
+this package expands them in bulk with ``numpy``.
+
+SSD's item streams have it too — a 16-bit dictionary index is the control
+word that determines how many data bytes (0/1/2/4 target bytes) follow —
+and this package owns their decoded form (:class:`ItemPlanes` and the
+``KIND_*`` codes).  They have no numpy kernel: ``repro.core.items``
+decodes them with one loop over the layout's per-index columns on every
+backend, because a numpy kernel's per-reader table set-up cost more than
+it saved on streams of at most ~1.3 KB.
 
 Layering rules:
 
@@ -26,9 +31,11 @@ Layering rules:
   scan but keeps byte-for-byte identical error behavior across backends.
 
 Observability (``repro.obs``): ``kernel_batch_decodes_total`` counts bulk
-decodes by kind and backend, ``kernel_fallback_total`` counts speculative
-kernels that bailed to the scalar path, and ``kernel_items_per_batch``
-histograms the batch sizes the item kernel sees.
+decodes by kind and backend (item streams always ``backend=python``),
+``kernel_fallback_total`` counts speculative decodes that bailed to the
+scalar path (for ``kind=items``, re-runs of the reference item decoder),
+and ``kernel_items_per_batch`` histograms the items per item-stream
+decode.
 """
 
 from __future__ import annotations
@@ -62,10 +69,10 @@ BATCH_DECODES = REGISTRY.counter(
     "Bulk decodes performed, by kernel kind and backend.")
 FALLBACKS = REGISTRY.counter(
     "kernel_fallback_total",
-    "Speculative vectorized decodes that bailed to the scalar path, by kind.")
+    "Speculative decodes that bailed to the scalar path, by kind.")
 ITEMS_PER_BATCH = REGISTRY.histogram(
     "kernel_items_per_batch",
-    "Items decoded per bulk item-stream decode.",
+    "Items decoded per item-stream decode.",
     buckets=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0))
 
 
@@ -125,8 +132,8 @@ def record_batch(kind: str, count: Optional[int] = None,
                  backend_name: Optional[str] = None) -> None:
     """Count one bulk decode (and, for item batches, its size).
 
-    ``backend_name`` overrides the label when a decode ran on the scalar
-    path while the numpy backend is active (speculative fallback).
+    ``backend_name`` overrides the label when a decode ran in pure
+    Python while the numpy backend is active.
     """
     BATCH_DECODES.inc(kind=kind, backend=backend_name or _active)
     if count is not None:

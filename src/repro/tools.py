@@ -34,6 +34,7 @@ from typing import List, Optional, Tuple
 
 from .core import (
     MAX_SEQUENCE_LENGTH,
+    SEQUENCE_LENGTH_CAP,
     compress,
     container_version,
     decompress,
@@ -105,6 +106,9 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
     if args.max_len < 1:
         raise ToolError(f"--max-len must be >= 1, got {args.max_len}")
+    if args.max_len > SEQUENCE_LENGTH_CAP:
+        raise ToolError(f"--max-len must be <= {SEQUENCE_LENGTH_CAP}, "
+                        f"got {args.max_len}")
     program = load_program(args.input)
     validate_program(program)
     profile = PhaseProfile() if args.profile or args.trace else None
@@ -160,8 +164,7 @@ def _inspect_json(data: bytes, reader, function: Optional[int]) -> dict:
             {
                 "index": sindex,
                 "base_entries": len(layout.addr_rows),
-                "sequence_nodes": sum(
-                    1 for path in layout.paths_of.values() if len(path) > 1),
+                "sequence_nodes": len(layout.paths) - len(layout.addr_rows),
             }
             for sindex, layout in enumerate(reader.layouts)
         ],
@@ -218,7 +221,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"  {section:>14}: {size:>8} B")
     for sindex, layout in enumerate(reader.layouts):
         bases = len(layout.addr_rows)
-        sequences = sum(1 for path in layout.paths_of.values() if len(path) > 1)
+        sequences = len(layout.paths) - bases
         print(f"segment {sindex}: {bases} base entries, "
               f"{sequences} sequence-tree nodes")
     if args.function is not None:
@@ -848,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base-entry codec (default: lz)")
     p.add_argument("--max-len", type=int, default=MAX_SEQUENCE_LENGTH,
                    help="longest sequence entry (default: "
-                        f"{MAX_SEQUENCE_LENGTH})")
+                        f"{MAX_SEQUENCE_LENGTH}, at most {SEQUENCE_LENGTH_CAP})")
     p.add_argument("--profile", action="store_true",
                    help="print per-phase timings to stderr")
     p.add_argument("--trace", default=None, metavar="FILE",

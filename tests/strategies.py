@@ -3,13 +3,17 @@
 These generate *structurally valid* programs (validate_program passes) so
 that every downstream property test — encoding round-trips, compression
 round-trips, JIT translation equivalence — can draw from the same source.
+``item_layout`` and ``item_layouts`` give the item codec a dictionary
+without compressing a program.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.core.layout import SegmentLayout
 from repro.isa import Function, Instruction, Kind, NUM_REGISTERS, Op, Program, info
+from repro.kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN
 
 _REG = st.integers(min_value=0, max_value=NUM_REGISTERS - 1)
 _IMM = st.one_of(
@@ -87,3 +91,28 @@ def programs(draw, min_functions: int = 1, max_functions: int = 5,
         for i in range(count)
     ]
     return Program(name="prop", functions=functions, entry=0)
+
+
+def item_layout(entries, index_of=None) -> SegmentLayout:
+    """A layout holding only the item codec's columns: ``entries[i]`` is
+    dictionary index ``i``'s ``(length, kind, target width)``."""
+    lengths, kinds, widths = ([list(column) for column in zip(*entries)]
+                              or ([], [], []))
+    return SegmentLayout(addr_rows=[], lengths=lengths, kinds=kinds,
+                         widths=widths,
+                         paths=[(index,) for index in range(len(entries))],
+                         index_of=dict(index_of or {}))
+
+
+@st.composite
+def item_layouts(draw) -> SegmentLayout:
+    """A random item-codec dictionary of 1 to 12 indices."""
+    count = draw(st.integers(min_value=1, max_value=12))
+    entries = []
+    for _ in range(count):
+        kind = draw(st.sampled_from([KIND_PLAIN, KIND_PLAIN, KIND_BRANCH,
+                                     KIND_CALL]))
+        length = draw(st.integers(min_value=1, max_value=5))
+        width = 0 if kind == KIND_PLAIN else draw(st.sampled_from([1, 2, 4]))
+        entries.append((length, kind, width))
+    return item_layout(entries)

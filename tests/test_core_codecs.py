@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    EntryInfo,
     ItemStreamError,
     build_dictionary,
     decode_base_entries,
@@ -16,10 +15,10 @@ from repro.core import (
     sequence_index_map,
 )
 from repro.core.items import decode_item_planes, resolve_plane_targets
-from repro.kernels import KIND_CALL
+from repro.kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN
 from repro.isa import Op, assemble, info
 
-from .strategies import programs
+from .strategies import item_layout, programs
 
 
 def _rows_from(text, **kwargs):
@@ -170,77 +169,64 @@ class TestSequenceTree:
 
 
 class TestItemCodec:
-    def _simple_setup(self):
-        # entries: 0 = one plain instruction, 1 = branch (1-byte target),
-        # 2 = 3-instruction sequence, 3 = call (1-byte target)
-        info = {
-            0: EntryInfo(length=1),
-            1: EntryInfo(length=1, is_branch=True, target_size=1),
-            2: EntryInfo(length=3),
-            3: EntryInfo(length=1, is_call=True, target_size=1),
-        }
-        return info
+    # entries: 0 = one plain instruction, 1 = branch (1-byte target),
+    # 2 = 3-instruction sequence, 3 = call (1-byte target)
+    ENTRIES = [(1, KIND_PLAIN, 0), (1, KIND_BRANCH, 1), (3, KIND_PLAIN, 0),
+               (1, KIND_CALL, 1)]
+
+    def _layout(self, index_of=None):
+        return item_layout(self.ENTRIES, index_of)
 
     # References are (packed key, target) columns; the item coder only
     # looks keys up in ``index_of``, so any distinct ints serve as keys.
     SEQUENCE = 111213
 
     def test_roundtrip_plain_items(self):
-        info = self._simple_setup()
-        index_of = {10: 0, self.SEQUENCE: 2}
-        blob = encode_items([10, self.SEQUENCE], [None, None], index_of, info)
-        planes = decode_item_planes(blob, info)
+        layout = self._layout({10: 0, self.SEQUENCE: 2})
+        blob = encode_items([10, self.SEQUENCE], [None, None], layout)
+        planes = decode_item_planes(blob, layout)
         assert planes.indices == [0, 2]
         assert planes.lengths == [1, 3]
 
     def test_branch_displacement_roundtrip(self):
-        info = self._simple_setup()
         # item 0: branch to instruction 4 (start of item 2); item 1: a
         # 3-insn sequence; item 2: plain.
-        index_of = {20: 1, self.SEQUENCE: 2, 10: 0}
-        blob = encode_items([20, self.SEQUENCE, 10], [4, None, None],
-                            index_of, info)
-        planes = decode_item_planes(blob, info)
+        layout = self._layout({20: 1, self.SEQUENCE: 2, 10: 0})
+        blob = encode_items([20, self.SEQUENCE, 10], [4, None, None], layout)
+        planes = decode_item_planes(blob, layout)
         targets = resolve_plane_targets(planes)
         assert targets == [4, None, None]
 
     def test_backward_branch(self):
-        info = self._simple_setup()
-        index_of = {10: 0, 20: 1}
+        layout = self._layout({10: 0, 20: 1})
         planes = decode_item_planes(
-            encode_items([10, 20], [None, 0], index_of, info), info)
+            encode_items([10, 20], [None, 0], layout), layout)
         assert resolve_plane_targets(planes) == [None, 0]
 
     def test_call_target_roundtrip(self):
-        info = self._simple_setup()
-        index_of = {30: 3}
-        planes = decode_item_planes(encode_items([30], [7], index_of, info),
-                                    info)
+        layout = self._layout({30: 3})
+        planes = decode_item_planes(encode_items([30], [7], layout), layout)
         assert planes.kinds == [KIND_CALL]
         assert planes.values == [7]
 
     def test_misaligned_branch_target_rejected(self):
-        info = self._simple_setup()
         # Branch into the middle of the 3-instruction sequence item.
-        index_of = {20: 1, self.SEQUENCE: 2}
+        layout = self._layout({20: 1, self.SEQUENCE: 2})
         with pytest.raises(ItemStreamError, match="not item-aligned"):
-            encode_items([20, self.SEQUENCE], [2, None], index_of, info)
+            encode_items([20, self.SEQUENCE], [2, None], layout)
 
     def test_unknown_entry_rejected(self):
-        info = self._simple_setup()
         with pytest.raises(ItemStreamError, match="no dictionary index"):
-            encode_items([99], [None], {}, info)
+            encode_items([99], [None], self._layout())
 
     def test_unknown_index_on_decode_rejected(self):
-        info = self._simple_setup()
         with pytest.raises(ItemStreamError, match="unknown index"):
-            decode_item_planes(b"\x63\x00", info)  # index 99
+            decode_item_planes(b"\x63\x00", self._layout())  # index 99
 
     def test_out_of_range_displacement_rejected(self):
-        info = {1: EntryInfo(length=1, is_branch=True, target_size=1)}
         # displacement +100 with only 1 item
         blob = b"\x01\x00\x64"
-        planes = decode_item_planes(blob, info)
+        planes = decode_item_planes(blob, self._layout())
         with pytest.raises(ItemStreamError, match="leaves the function"):
             resolve_plane_targets(planes)
 

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from repro.core import build_dictionary, plan_partition
 from repro.core.partition import PartitionError
 from repro.core.layout import build_layouts, layouts_from_sections
-from repro.isa import assemble
+from repro.isa import OP_BY_CODE, assemble
+from repro.kernels import KIND_BRANCH, KIND_CALL, KIND_PLAIN
 
 from .strategies import programs
 
@@ -37,12 +38,24 @@ def _agree(program, common_budget=16384, monkey_capacity=None):
     assert len(enc_layouts) == len(dec_layouts)
     for enc, dec in zip(enc_layouts, dec_layouts):
         assert enc.addr_rows == dec.addr_rows
-        assert enc.info_of == dec.info_of
-        assert enc.paths_of == dec.paths_of
+        assert enc.lengths == dec.lengths
+        assert enc.kinds == dec.kinds
+        assert enc.widths == dec.widths
+        assert enc.paths == dec.paths
+        # Each index's columns follow from its path and last row.
+        for index, path in enumerate(dec.paths):
+            row = dec.addr_rows[path[-1]]
+            meta = OP_BY_CODE[row[0]]
+            carries = meta.uses_target and len(row) == 6
+            assert dec.lengths[index] == len(path)
+            assert dec.kinds[index] == (
+                KIND_PLAIN if not carries
+                else KIND_BRANCH if meta.is_branch else KIND_CALL)
+            assert dec.widths[index] == (row[2] if carries else 0)
         # Every compressor-side reference index must resolve to the same
         # entry content on the decode side.
         for ref_key, index in enc.index_of.items():
-            path = dec.paths_of[index]
+            path = dec.paths[index]
             enc_rows = [dictionary.rows[p]
                         for p in dictionary.window(ref_key)]
             dec_rows = [dec.addr_rows[a] for a in path]

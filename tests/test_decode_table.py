@@ -71,7 +71,7 @@ def _instruction(row) -> Instruction:
 
 def _oracle_expansion(layout, index):
     """``(prefix, last_insn, last_is_branch)`` of one index, by path walk."""
-    path = layout.paths_of[index]
+    path = layout.paths[index]
     last_offset = len(path) - 1
     prefix = []
     for offset, addr in enumerate(path):
@@ -190,7 +190,7 @@ def test_common_region_is_shared_by_every_segment():
     common = sum(_common_sizes(reader.sections))
     first = reader.layouts[0].table
     for layout in reader.layouts[1:]:
-        assert len(layout.table) == len(layout.info_of)
+        assert len(layout.table) == len(layout.paths)
         assert all(mine is shared
                    for mine, shared in zip(layout.table[:common], first))
 

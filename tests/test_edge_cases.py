@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core import compress, decompress
-from repro.core.items import EntryInfo, ItemStreamError, encode_items
+from repro.core.items import ItemStreamError, decode_item_planes, encode_items
 from repro.isa import Function, Instruction, Op, Program, assemble
 from repro.isa.encoding import decode_program, encode_program
 from repro.jit import PERMANENT_SIZE_THRESHOLD, TranslationBuffer
 from repro.kernels import KIND_CALL
 from repro.vm import run_program
+
+from .strategies import item_layout
 
 
 class TestISAEdges:
@@ -106,18 +108,16 @@ end
 
 class TestItemEdges:
     def test_two_byte_call_target(self):
-        info = {0: EntryInfo(length=1, is_call=True, target_size=2)}
-        blob = encode_items([5], [40000], {5: 0}, info)
-        from repro.core.items import decode_item_planes
-
-        planes = decode_item_planes(blob, info)
+        layout = item_layout([(1, KIND_CALL, 2)], {5: 0})
+        blob = encode_items([5], [40000], layout)
+        planes = decode_item_planes(blob, layout)
         assert planes.kinds == [KIND_CALL]
         assert planes.values == [40000]
 
     def test_call_target_too_large_rejected(self):
-        info = {0: EntryInfo(length=1, is_call=True, target_size=1)}
+        layout = item_layout([(1, KIND_CALL, 1)], {5: 0})
         with pytest.raises(ItemStreamError, match="does not fit"):
-            encode_items([5], [300], {5: 0}, info)
+            encode_items([5], [300], layout)
 
 
 class TestBufferEdges:

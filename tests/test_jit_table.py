@@ -2,7 +2,7 @@
 
 The oracle below is the table builder and the copy phase as they stood
 before the one-pass, list-indexed table: ``_oracle_table`` walks
-``layout.paths_of`` and keeps one row per index in a dict, and
+``layout.paths`` and keeps one row per index in a dict, and
 ``_oracle_copy`` is the item-at-a-time Algorithm 3 over that dict.
 ``build_tables`` must give equal rows index by index, and
 ``Translator.translate_function`` must give equal code, relocations and
@@ -73,7 +73,7 @@ def _oracle_table(layout: SegmentLayout) -> Dict[int, TableEntry]:
                 f"dictionary entry {addr} fails native lowering: {exc}") from exc
 
     table: Dict[int, TableEntry] = {}
-    for index, path in layout.paths_of.items():
+    for index, path in enumerate(layout.paths):
         chunks = [base_chunks[addr] for addr in path]
         data = b"".join(chunk.data for chunk in chunks)
         last_row = layout.addr_rows[path[-1]]

@@ -139,7 +139,7 @@ class TestInstructionTables:
         reader = open_container(compress(program).data)
         tables = build_tables(reader)
         for layout, table in zip(reader.layouts, tables.tables):
-            assert len(table) == len(layout.paths_of)
+            assert len(table) == len(layout.paths)
 
     def test_sequence_entries_concatenate_bases(self):
         program = assemble(EXAMPLE)
@@ -150,10 +150,10 @@ class TestInstructionTables:
         # Each multi-instruction entry must be exactly as long as the sum
         # of its constituent base chunks.
         base_size = {}
-        for index, path in layout.paths_of.items():
+        for index, path in enumerate(layout.paths):
             if len(path) == 1:
                 base_size[path[0]] = table[index].size
-        for index, path in layout.paths_of.items():
+        for index, path in enumerate(layout.paths):
             if len(path) > 1 and all(p in base_size for p in path):
                 assert table[index].size == sum(base_size[p] for p in path)
 

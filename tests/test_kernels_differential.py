@@ -1,18 +1,20 @@
-"""Differential properties: vectorized kernels vs the scalar reference.
+"""Differential properties: fast decoders vs their scalar references.
 
-Every speculative kernel must be *observationally identical* to the
+Every speculative decoder must be *observationally identical* to the
 scalar decoder it accelerates: same decoded values on well-formed input,
-and — because the kernels bail to the scalar path on any anomaly — the
-same ``repro.errors`` exception type, message, and offset on corrupt
-input.  These properties are what let the format layers pick a backend
-purely on speed.
+and — because it bails to the scalar path on any anomaly — the same
+``repro.errors`` exception type, message, and offset on corrupt input.
+These properties are what let the format layers pick a backend purely on
+speed.
 
-Each property runs the operation under both backends (skipping the numpy
-half when numpy is unavailable) and compares outcomes, where an outcome
-is either the returned value or ``(type, message, offset)`` of the
-raised exception.  The batch-size gates (``_ITEM_KERNEL_MIN_BYTES`` and
-friends) are lowered for the whole module so hypothesis-sized inputs
-actually exercise the vectorized paths.
+Varint runs, LZ77 and whole containers run under both backends
+(skipping the numpy half when numpy is unavailable); item streams run
+through the column loop and through ``_decode_planes_scalar``.  Each
+property compares outcomes, where an outcome is either the returned
+value or ``(type, message, offset)`` of the raised exception.  The
+batch-size gates of the varint and LZ77 kernels are lowered for the
+whole module so hypothesis-sized inputs actually exercise the vectorized
+paths.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core import compress, decompress
-import repro.core.items as items_mod
 from repro.core.items import (
-    EntryInfo,
+    _decode_planes_scalar,
     decode_item_planes,
     resolve_plane_targets,
 )
@@ -36,7 +37,7 @@ from repro.lz import lz77
 import repro.lz.varint as varint_mod
 from repro.lz.varint import ByteReader, ByteWriter, decode_uvarint
 
-from .strategies import programs
+from .strategies import item_layouts, programs
 
 needs_numpy = pytest.mark.skipif(not kernels.has_numpy(),
                                  reason="numpy not installed")
@@ -47,14 +48,11 @@ _BACKENDS = ("python", "numpy") if kernels.has_numpy() else ("python",)
 @pytest.fixture(autouse=True, scope="module")
 def _force_kernel_paths():
     """Lower the size gates so small test inputs hit the bulk kernels."""
-    saved = (items_mod._ITEM_KERNEL_MIN_BYTES, varint_mod._RUN_KERNEL_MIN,
-             lz77.TABLE_MIN_BYTES)
-    items_mod._ITEM_KERNEL_MIN_BYTES = 0
+    saved = (varint_mod._RUN_KERNEL_MIN, lz77.TABLE_MIN_BYTES)
     varint_mod._RUN_KERNEL_MIN = 1
     lz77.TABLE_MIN_BYTES = 0
     yield
-    (items_mod._ITEM_KERNEL_MIN_BYTES, varint_mod._RUN_KERNEL_MIN,
-     lz77.TABLE_MIN_BYTES) = saved
+    varint_mod._RUN_KERNEL_MIN, lz77.TABLE_MIN_BYTES = saved
 
 
 def outcomes(fn):
@@ -89,56 +87,58 @@ def assert_identical(fn):
 
 
 # -- item streams ------------------------------------------------------------
+#
+# Item streams have one decoder on every backend: a loop over the layout's
+# columns that re-runs the reference ``_decode_planes_scalar`` on any
+# anomaly.  The properties below hold the loop to the reference.
 
-@st.composite
-def entry_tables(draw):
-    """A random dictionary-index table: index -> EntryInfo."""
-    count = draw(st.integers(min_value=1, max_value=12))
-    table = {}
-    for index in range(count):
-        shape = draw(st.sampled_from(["plain", "plain", "branch", "call"]))
-        length = draw(st.integers(min_value=1, max_value=5))
-        if shape == "plain":
-            table[index] = EntryInfo(length=length)
-        else:
-            size = draw(st.sampled_from([1, 2, 4]))
-            table[index] = EntryInfo(length=length,
-                                     is_branch=shape == "branch",
-                                     is_call=shape == "call",
-                                     target_size=size)
-    return table
+def loop_and_reference(fn):
+    """Run ``fn(decode)`` with the loop and with the reference decoder;
+    assert both outcomes are identical and return the loop's."""
+    results = []
+    for decode in (decode_item_planes, _decode_planes_scalar):
+        try:
+            results.append(("ok", fn(decode)))
+        except ReproError as exc:
+            results.append(("err", type(exc), str(exc),
+                            getattr(exc, "offset", None)))
+    loop, reference = results
+    assert repr(loop) == repr(reference), f"loop {loop} != reference {reference}"
+    return loop
 
 
 @st.composite
 def item_streams(draw):
-    """A structurally valid item stream over a random table.
+    """A structurally valid item stream over a random layout.
 
     Target *bytes* are arbitrary, so displacements may leave the
     function — that is exactly what ``resolve_plane_targets`` must
-    reject identically on both backends.
+    reject identically after either decoder.
     """
-    table = draw(entry_tables())
+    layout = draw(item_layouts())
     count = draw(st.integers(min_value=0, max_value=40))
     writer = ByteWriter()
     for _ in range(count):
-        index = draw(st.sampled_from(sorted(table)))
+        index = draw(st.integers(min_value=0,
+                                 max_value=len(layout.widths) - 1))
         writer.write_u16(index)
-        entry = table[index]
-        if entry.target_size:
-            writer.write_bytes(draw(st.binary(min_size=entry.target_size,
-                                              max_size=entry.target_size)))
-    return table, writer.getvalue()
+        width = layout.widths[index]
+        if width:
+            writer.write_bytes(draw(st.binary(min_size=width,
+                                              max_size=width)))
+    return layout, writer.getvalue()
 
 
 @given(item_streams())
 def test_item_planes_identical_on_valid_streams(stream):
-    table, blob = stream
-    outcome = assert_identical(lambda: decode_item_planes(blob, table))
+    layout, blob = stream
+    outcome = loop_and_reference(lambda decode: decode(blob, layout))
     assert outcome[0] == "ok"
     planes = outcome[1]
     assert planes.count == len(planes.kinds) == len(planes.values)
     assert planes.count == len(planes.lengths) == len(planes.starts)
-    assert planes.lengths == [table[index].length for index in planes.indices]
+    assert planes.lengths == [layout.lengths[index]
+                              for index in planes.indices]
     assert planes.starts == [sum(planes.lengths[:i])
                              for i in range(planes.count)]
     assert all(value == 0 for kind, value in zip(planes.kinds, planes.values)
@@ -147,18 +147,14 @@ def test_item_planes_identical_on_valid_streams(stream):
 
 @given(item_streams())
 def test_target_resolution_identical(stream):
-    table, blob = stream
-
-    def resolve():
-        planes = decode_item_planes(blob, table)
-        return resolve_plane_targets(planes)
-
-    assert_identical(resolve)
+    layout, blob = stream
+    loop_and_reference(
+        lambda decode: resolve_plane_targets(decode(blob, layout)))
 
 
 @given(item_streams(), st.data())
 def test_corrupt_item_streams_fail_identically(stream, data):
-    table, blob = stream
+    layout, blob = stream
     corrupted = bytearray(blob)
     action = data.draw(st.sampled_from(["flip", "truncate", "extend"]),
                        label="corruption")
@@ -175,11 +171,11 @@ def test_corrupt_item_streams_fail_identically(stream, data):
         corrupted += data.draw(st.binary(min_size=1, max_size=7))
     corrupted = bytes(corrupted)
 
-    def decode():
-        planes = decode_item_planes(corrupted, table)
+    def decode(decoder):
+        planes = decoder(corrupted, layout)
         return planes, resolve_plane_targets(planes)
 
-    assert_identical(decode)
+    loop_and_reference(decode)
 
 
 # -- varint runs -------------------------------------------------------------
