@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import CorruptContainer, LimitExceeded
 from ..isa import Instruction
-from ..isa.instruction import SLOT_SETTERS, TARGET_SIZES
+from ..isa.instruction import IMM_RANGE, SLOT_SETTERS, TARGET_SIZES
 from ..isa.opcodes import NUM_REGISTERS, OP_BY_CODE
 from ..lz import delta as delta_codec
 from ..lz import lz77
@@ -67,10 +67,14 @@ def _encode_groups(rows: Sequence[Row], use_delta: bool) -> bytes:
     return writer.getvalue()
 
 
-def _raise_first_bad_entry(op, regs: Tuple[List[Optional[int]], ...],
+def _raise_first_bad_entry(op, imms: List[Optional[int]],
+                           regs: Tuple[List[Optional[int]], ...],
                            sizes: List[Optional[int]]) -> None:
     """Report the first entry of a group that failed a column check."""
     for position, size in enumerate(sizes):
+        imm = imms[position]
+        if imm is not None and imm not in IMM_RANGE:
+            raise CorruptContainer(f"{op.value}: immediate {imm} outside int32")
         for name, column in zip(("rd", "rs1", "rs2"), regs):
             value = column[position]
             if value is not None and not 0 <= value < NUM_REGISTERS:
@@ -88,7 +92,8 @@ def _decode_groups(data: bytes, use_delta: bool, limit: int) -> List[Row]:
 
     Each check runs once per group on the whole column: the opcode fixes
     which fields are present, a register column is in range when its
-    maximum is, and a target-size column when its set of values is a
+    maximum is, an immediate column when its minimum and maximum are in
+    ``IMM_RANGE``, and a target-size column when its set of values is a
     subset of ``TARGET_SIZES``.  A group that would take the entry count
     past ``limit`` is refused before any of its columns is read.
     """
@@ -128,9 +133,12 @@ def _decode_groups(data: bytes, use_delta: bool, limit: int) -> List[Row]:
                      for used in (meta.uses_rd, meta.uses_rs1, meta.uses_rs2))
         if (any(max(column, default=0) >= NUM_REGISTERS
                 for column in regs if column is not absent)
+                or imms is not absent
+                and (min(imms, default=0) not in IMM_RANGE
+                     or max(imms, default=0) not in IMM_RANGE)
                 or sizes is not absent
                 and not set(sizes).issubset(TARGET_SIZES)):
-            _raise_first_bad_entry(meta.op, regs, sizes)
+            _raise_first_bad_entry(meta.op, imms, regs, sizes)
         columns = (repeat(code, count), imms, sizes, *regs)
         if stored_targets is not absent:
             columns += (stored_targets,)

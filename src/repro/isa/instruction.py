@@ -19,6 +19,9 @@ from .opcodes import NUM_REGISTERS, Kind, Op, OpInfo, info
 #: Byte widths an encoded pc-relative target may occupy.
 TARGET_SIZES = (1, 2, 4)
 
+#: Immediates are signed 32-bit: the widest field every encoder holds.
+IMM_RANGE = range(-(1 << 31), 1 << 31)
+
 #: Upper bound on native bytes one VM instruction may lower to (the widest
 #: lowering in ``repro.vm.native`` is 9 bytes; a vm test pins this).  The
 #: target-size classes below are conservative under this expansion so that
@@ -88,6 +91,8 @@ class Instruction:
         for name, value in (("rd", self.rd), ("rs1", self.rs1), ("rs2", self.rs2)):
             if value is not None and not 0 <= value < NUM_REGISTERS:
                 raise ValueError(f"{self.op.value}: register {name}={value} out of range")
+        if self.imm is not None and self.imm not in IMM_RANGE:
+            raise ValueError(f"{self.op.value}: immediate {self.imm} outside int32")
 
     def _raise_field_mismatch(self, meta: OpInfo) -> None:
         for name, used, value in (

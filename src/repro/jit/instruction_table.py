@@ -6,13 +6,16 @@ tagged native byte sequence.  The tag carries the sequence length and, for
 entries ending in a control transfer, where the target hole sits — exactly
 what Algorithm 3 needs so that phase two is a block copy plus a patch.
 
-The table is built in one pass over a :class:`SegmentLayout`'s decode
-table, in index order: each base's canonical instruction is lowered once
-into a one-entry row (its native bytes and hole tag), and a sequence's row
-is the join of its bases' bytes tagged by its last base.  A segment's table is a tuple indexed by
-dictionary index.  The common region (indices ``[0, cb+cs)``) is the same
-in every segment, so it is built once per container and its rows are
-shared by every segment's table.
+The table is built in one pass over a :class:`SegmentLayout`'s paths, in
+index order: each base's row (``layout.addr_rows``) is lowered once,
+straight from its integer columns through ``repro.vm.native.LOWERINGS``,
+into a one-entry table row (its native bytes and hole tag), and a
+sequence's row is the join of its bases' bytes tagged by its last base.
+No :class:`~repro.isa.Instruction` is built and the layout's decode table
+is not read.  A segment's table is a tuple indexed by dictionary index.
+The common region (indices ``[0, cb+cs)``) is the same in every segment,
+so it is built once per container and its rows are shared by every
+segment's table.
 
 Conversion is per-instruction (the paper: "translation of individual
 instructions, rather than optimizing compilation"), i.e. the *unoptimized*
@@ -31,9 +34,9 @@ from typing import Sequence, Tuple
 from ..core.copy_phase import TableEntry
 from ..core.decompressor import SSDReader
 from ..core.layout import SegmentLayout
-from ..errors import CorruptContainer, ReproError
+from ..errors import CorruptContainer
 from ..obs import REGISTRY, TRACER
-from ..vm.native import lower_instruction
+from ..vm.native import LOWERINGS
 
 _BUILD_TABLES = REGISTRY.counter(
     "jit_build_tables_total",
@@ -61,27 +64,25 @@ def build_table_for_layout(layout: SegmentLayout,
     rows = list(shared[:first_addr])  # by addressing id: the base's own row
     table = list(shared[:first_index])
     append = table.append
-    for path, expansion in zip(islice(layout.paths, first_index, None),
-                               islice(layout.table, first_index, None)):
+    for path in islice(layout.paths, first_index, None):
         if len(path) == 1:
-            # A base, in addressing order: lower the instruction of its
-            # decode-table expansion.
-            head, tail, _ = expansion
+            # A base, in addressing order: lower its row's columns.
             addr = path[0]
             row = addr_rows[addr]
+            emit, _, is_branch, is_call = lowering = LOWERINGS[row[0]]
             try:
-                chunk = lower_instruction(head[0] if head else tail, row[2])
-            except ReproError:
-                raise
-            except (ValueError, OverflowError, KeyError) as exc:
+                data = emit(row[3], row[4], row[5], row[1], row[2])
+            except (ValueError, OverflowError, LookupError) as exc:
                 raise CorruptContainer(
                     f"dictionary entry {addr} fails native lowering: {exc}"
                 ) from exc
             # A hole when the op takes a target and the row stores none:
-            # then the expansion awaits its item's target as ``tail``.
-            entry = (TableEntry(chunk.data, chunk.hole_offset,
-                                chunk.hole_size, chunk.is_call)
-                     if tail is not None else TableEntry(chunk.data))
+            # its item then carries the target.
+            if (is_branch or is_call) and len(row) == 6:
+                hole_size = lowering.hole_size(row[2])
+                entry = TableEntry(data, len(data) - hole_size, hole_size, is_call)
+            else:
+                entry = TableEntry(data)
             rows.append(entry)
             append(entry)
             continue

@@ -133,6 +133,22 @@ def test_deep_chain_container_is_refused_fast():
     assert time.perf_counter() - start < 0.1
 
 
+def test_immediate_outside_int32_is_a_corrupt_container():
+    # No native encoding holds a wider immediate: a decoder that took it
+    # would have to truncate it.  Hand-encode the LI row with 2**40.
+    sections = parse(compress(assemble(SOURCE)).data)
+    segment = sections.segments[0]
+    li = info(Op.LI).code
+    rows = [row[:1] + (1 << 40,) + row[2:] if row[0] == li else row
+            for row in decode_base_entries(segment.base_blob)]
+    assert sum(row[0] == li for row in rows) == 1
+    segment.base_blob = encode_base_entries(rows)
+    with pytest.raises(CorruptContainer, match="li: immediate 1099511627776 outside int32"):
+        open_container(serialize(sections))
+    with pytest.raises(CorruptContainer, match="outside int32"):
+        decode_base_entries(encode_base_entries(rows, codec="delta"))
+
+
 def test_max_len_at_the_cap_round_trips():
     body = "".join(f"    li r1, {value}\n" for value in range(20))
     program = assemble(f"func main\n{body}{body}    ret\nend\n")

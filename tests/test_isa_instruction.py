@@ -89,6 +89,15 @@ class TestInstructionConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Instruction(op=Op.MOV, rd=NUM_REGISTERS, rs1=0)
 
+    @pytest.mark.parametrize("imm", [1 << 40, 1 << 31, -(1 << 31) - 1])
+    def test_immediate_outside_int32_rejected(self, imm):
+        with pytest.raises(ValueError, match="outside int32"):
+            Instruction(op=Op.LI, rd=1, imm=imm)
+
+    def test_int32_immediate_bounds_accepted(self):
+        for imm in (-(1 << 31), (1 << 31) - 1):
+            assert Instruction(op=Op.LI, rd=1, imm=imm).imm == imm
+
     def test_branch_requires_target(self):
         with pytest.raises(ValueError, match="missing required field target"):
             Instruction(op=Op.BEQ, rs1=1, rs2=2)

@@ -8,14 +8,16 @@ before the one-pass, list-indexed table: ``_oracle_table`` walks
 ``Translator.translate_function`` must give equal code, relocations and
 item offsets for every function, on both kernel backends.
 
-The remaining tests pin the lowering error, the sharing of the common
-region, the immutability of memoized tables, and the typed error raised
-when tables built for another container are used.
+The remaining tests pin that the table is lowered from the layout's
+base rows alone, the hole rule, the lowering error, the sharing of the
+common region, the immutability of memoized tables, and the typed error
+raised when tables built for another container are used.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from typing import Dict, List, Tuple
 
 import pytest
@@ -39,7 +41,8 @@ from repro.jit import (
     build_tables,
     copy_translate_range,
 )
-from repro.vm.native import lower_instruction
+from repro.vm.native import CALL_HOLE_SIZE, lower_instruction
+from repro.workloads import benchmark_program
 
 from .test_decode_table import (  # noqa: F401
     _NAMES,
@@ -178,6 +181,57 @@ end
 """
 
 
+@pytest.mark.parametrize("knobs, digest", [
+    ({},
+     "b4c03cc3c4128512466a4c6b3d53427c785e51653a2bd68cfb35136961e9d030"),
+    ({"branch_targets": "absolute"},
+     "9743fd9c468f2261b37c810900644799d64f7f7e02ec3b730c98fd4e8c58f065"),
+], ids=["default", "absolute"])
+def test_table_is_lowered_from_rows_without_the_decode_table(knobs, digest):
+    """The word97@0.05 digests of ``test_core_pinned_tables.py``, with
+    every layout's decode table emptied first."""
+    reader = open_container(compress(benchmark_program("word97", 0.05),
+                                     **knobs).data)
+    tables: List[tuple] = []
+    for layout in reader.layouts:
+        layout.table = ()
+        tables.append(build_table_for_layout(layout, tables[0] if tables else ()))
+    sha = hashlib.sha256()
+    for table in tables:
+        sha.update(b"segment")
+        for entry in table:
+            sha.update(repr((entry.data, entry.hole_offset,
+                             entry.hole_size, entry.is_call)).encode())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("knobs, row_length", [
+    ({}, 6), ({"branch_targets": "absolute"}, 7)], ids=["default", "absolute"])
+def test_only_a_row_without_its_target_has_a_hole(knobs, row_length):
+    layout = open_container(compress(assemble(_SMALL), **knobs).data).layouts[0]
+    table = build_table_for_layout(layout)
+    targeted = 0
+    for index, path in enumerate(layout.paths):
+        row = layout.addr_rows[path[-1]]
+        meta = OP_BY_CODE[row[0]]
+        entry = table[index]
+        if not meta.uses_target:
+            assert entry.hole_size == 0
+            continue
+        targeted += 1
+        assert len(row) == row_length
+        if row_length == 7:
+            # The stored target travels in the entry: nothing to patch.
+            assert entry == TableEntry(entry.data)
+            continue
+        hole_size = row[2] if meta.is_branch else CALL_HOLE_SIZE
+        assert entry.hole_size == hole_size
+        assert entry.hole_offset == len(entry.data) - hole_size
+        assert entry.is_call == meta.is_call
+        assert entry.data.endswith(bytes(hole_size))
+    assert targeted >= 2  # the bnez and the call
+
+
 def test_base_that_fails_lowering_raises_corrupt_container():
     layout = open_container(compress(assemble(_SMALL)).data).layouts[0]
     rows = layout.addr_rows
@@ -185,6 +239,21 @@ def test_base_that_fails_lowering_raises_corrupt_container():
                 if OP_BY_CODE[row[0]].is_branch)
     # No native branch has a 3-byte displacement.
     rows[addr] = rows[addr][:2] + (3,) + rows[addr][3:]
+    with pytest.raises(CorruptContainer,
+                       match=f"dictionary entry {addr} fails native lowering"):
+        build_table_for_layout(layout)
+
+
+@pytest.mark.parametrize("column, value", [(2, 0), (2, None), (1, 1 << 40)],
+                         ids=["target-size-0", "no-target-size", "imm-2**40"])
+def test_row_no_native_encoding_holds_raises_corrupt_container(column, value):
+    layout = open_container(compress(assemble(_SMALL)).data).layouts[0]
+    rows = layout.addr_rows
+    wanted = (lambda meta: meta.is_branch) if column == 2 else (
+        lambda meta: meta.uses_imm)
+    addr = next(addr for addr, row in enumerate(rows)
+                if wanted(OP_BY_CODE[row[0]]))
+    rows[addr] = rows[addr][:column] + (value,) + rows[addr][column + 1:]
     with pytest.raises(CorruptContainer,
                        match=f"dictionary entry {addr} fails native lowering"):
         build_table_for_layout(layout)
